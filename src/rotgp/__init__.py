@@ -13,7 +13,7 @@ from .gp import (Dataset, GPModel, PredictiveResult, log_marginal_likelihood,
                  predict)
 from .kernels import (GramFactorizationError, GramMatrix, KernelProfile,
                       Matern, SquaredExponential, cross_gram, gram,
-                      radial_profile, sq_rotated_distance)
+                      radial_profile)
 from .mcmc import (Chain, ChainConfig, ChainInitError, PosteriorSummary,
                    Priors, ProposalScales, SamplerState,
                    effective_sample_size, initial_state, load_chain_csv,
@@ -38,6 +38,6 @@ __all__ = [
     "geodesic_angle", "gram", "holdout_planes", "initial_state",
     "load_chain_csv", "load_csv", "log_marginal_likelihood", "log_prior",
     "mh_step", "misalignment_angles", "predict", "radial_profile",
-    "run_chain", "sample_gp_outputs", "save_csv", "skew",
-    "sq_rotated_distance", "standardize", "summarize",
+    "run_chain", "sample_gp_outputs", "save_csv", "skew", "standardize",
+    "summarize",
 ]

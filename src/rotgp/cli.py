@@ -22,9 +22,8 @@ from .data import (DataFormatError, SyntheticConfig, generate_synthetic,
                    standardize)
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
-from .mcmc import (RNG_NAME, ChainInitError, load_chain_csv,
-                   params_from_vector, run_chain, summarize)
-from .metric import InvalidParamsError, NotSpdError
+from .mcmc import RNG_NAME, ChainInitError, load_chain_csv, run_chain, summarize
+from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
 from .metrics import append_ledger_row, compute_metrics, write_metrics_json
 
 # Stage seeds inside an experiment are derived from the base seed with these
@@ -41,10 +40,6 @@ def _ensure_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from None
-
-
-def _template_params(kind: str):
-    return params_from_vector(kind, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def _fmt(value: float) -> str:
@@ -139,16 +134,16 @@ def cmd_fit(doc: dict) -> int:
     priors = cfg.priors_from_dict(doc["priors"])
     scales = cfg.scales_from_dict(doc["proposal_scales"])
     chain_config = cfg.chain_config_from_dict(doc["chain"])
-    template = GPModel(profile=profile, params=_template_params(doc["model"]),
+    spec = SPECS[doc["model"]]
+    template = GPModel(profile=profile, params=spec.prior_mean(priors),
                        noise_var=float(doc["noise_sd"]) ** 2)
 
     chain = run_chain(chain_config, train, template, priors, scales)
     summary = summarize(chain)
     chain.to_csv(os.path.join(out, "chain.csv"))
 
-    mean_vec = [summary.params[name]["mean"] for name in chain.param_names]
-    n_core = 3 if doc["model"] == "ard" else 6
-    mean_params = params_from_vector(doc["model"], mean_vec[:n_core])
+    mean_params = spec.from_vector(
+        [summary.params[name]["mean"] for name in chain.param_names])
     summary_doc = summary.to_dict()
     summary_doc.update({
         "model": {
@@ -156,7 +151,7 @@ def cmd_fit(doc: dict) -> int:
             "profile": doc["profile"],
             "noise_sd": None if chain_config.sample_noise else doc["noise_sd"],
         },
-        "posterior_mean_params": cfg.metric_params_to_dict(mean_params),
+        "posterior_mean_params": mean_params.to_dict(),
         "standardization": standardization,
         "train_csv": doc["train_csv"],
         "n_train": n_raw,
@@ -188,19 +183,14 @@ def _model_from_summary(sdoc: dict):
 def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
     """Average the closed-form predictive over stored posterior samples."""
     names, _, _, states = load_chain_csv(chain_csv)
-    if "a_1" in names:
-        kind = "rotational"
-    elif "d_1" in names:
-        kind = "spd"
-    else:
-        kind = "ard"
-    noise_col = names.index("noise_var") if "noise_var" in names else None
-    n_core = 3 if kind == "ard" else 6
+    spec = spec_for_columns(names)
+    if spec is None:
+        raise DataFormatError(
+            f"{chain_csv}: chain columns {','.join(names)} match no model")
     mean_acc = None
     second_acc = None
     for row in states:
-        params = params_from_vector(kind, row[:n_core])
-        noise_var = float(row[noise_col]) if noise_col is not None else fixed_noise_var
+        params, noise_var = spec.from_row(row, fixed_noise_var)
         res = predict(GPModel(profile=profile, params=params,
                               noise_var=noise_var), train, X_test)
         if mean_acc is None:

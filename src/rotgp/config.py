@@ -13,7 +13,7 @@ import jsonschema
 from .gp import GPModel
 from .kernels import Matern, SquaredExponential
 from .mcmc import ChainConfig, Priors, ProposalScales
-from .metric import Ard, CholeskySpd, MetricParams, Rotational
+from .metric import SPECS, MetricParams
 
 
 class ConfigError(ValueError):
@@ -360,28 +360,13 @@ def profile_to_dict(profile) -> dict:
 
 
 def metric_params_from_dict(doc: dict) -> MetricParams:
-    kind = doc["model"]
+    kind = doc.get("model")
+    if kind not in SPECS:
+        raise ConfigError(f"unknown model {kind!r}")
     try:
-        if kind == "ard":
-            return Ard(doc["lengthscales"])
-        if kind == "rotational":
-            return Rotational(doc["lengthscales"], doc["axis_angle"])
-        return CholeskySpd(doc["diag"], doc["offdiag"])
+        return SPECS[kind].from_dict(doc)
     except KeyError as exc:
         raise ConfigError(f"{kind} model spec is missing field {exc}") from None
-
-
-def metric_params_to_dict(params: MetricParams) -> dict:
-    if isinstance(params, Ard):
-        return {"model": "ard",
-                "lengthscales": [float(v) for v in params.lengthscales]}
-    if isinstance(params, Rotational):
-        return {"model": "rotational",
-                "lengthscales": [float(v) for v in params.lengthscales],
-                "axis_angle": [float(v) for v in params.axis_angle]}
-    return {"model": "spd",
-            "diag": [float(v) for v in params.diag],
-            "offdiag": [float(v) for v in params.offdiag]}
 
 
 def gp_model_from_dict(doc: dict) -> GPModel:

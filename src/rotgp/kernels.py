@@ -59,12 +59,6 @@ class GramMatrix:
     chol_lower: np.ndarray
 
 
-def sq_rotated_distance(M, x, x2) -> float:
-    """Squared distance between two points under the metric M."""
-    d = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    return max(float(d @ (np.asarray(M, dtype=float) @ d)), 0.0)
-
-
 def radial_profile(profile: KernelProfile, psi):
     """Evaluate the kernel profile at squared distance(s) ``psi``.
 

@@ -1,5 +1,9 @@
 """Random-walk Metropolis-Hastings over metric parameters.
 
+The sampler is generic: the parameterisation's spec (see
+:mod:`rotgp.metric`) supplies the update blocks, the log prior, the proposal
+and the flat-vector layout of stored samples.
+
 The target is the posterior over raw parameters: Gaussian priors sit on the
 length-scales themselves, on the axis-angle components, on the log-diagonal
 and off-diagonal Cholesky entries, and on log noise variance when noise is
@@ -19,9 +23,8 @@ import numpy as np
 
 from .gp import Dataset, GPModel, log_marginal_likelihood
 from .kernels import GramFactorizationError
-from .metric import (AnisotropySummary, Ard, CholeskySpd, MetricParams,
-                     Rotational, build_metric, eigen_summary)
-from .so3 import exp_so3, geodesic_angle
+from .metric import (SPECS, AnisotropySummary, MetricParams, build_metric,
+                     eigen_summary, normal_logpdf)
 
 RNG_NAME = "pcg64"
 
@@ -143,6 +146,10 @@ class Chain:
     fixed_noise_var: float | None
 
     @property
+    def spec(self) -> type:
+        return SPECS[self.kind]
+
+    @property
     def n_samples(self) -> int:
         return int(self.states.shape[0])
 
@@ -160,13 +167,7 @@ class Chain:
 
     def params_at(self, i: int) -> tuple[MetricParams, float]:
         """Rebuild the metric parameters and noise variance of sample i."""
-        row = self.states[i]
-        params = params_from_vector(self.kind, row)
-        if "noise_var" in self.param_names:
-            noise = float(row[-1])
-        else:
-            noise = self.fixed_noise_var
-        return params, noise
+        return self.spec.from_row(self.states[i], self.fixed_noise_var)
 
     def to_csv(self, path) -> None:
         """Write `iter,log_post,<params>` rows; floats use shortest repr."""
@@ -202,11 +203,6 @@ class PosteriorSummary:
         }
 
 
-def _normal_logpdf(x, mean, sd):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi)
-
-
 def log_prior(params: MetricParams, priors: Priors,
               log_noise_var: float | None = None) -> float:
     """Sum of Gaussian log prior densities on the raw coordinates.
@@ -214,32 +210,13 @@ def log_prior(params: MetricParams, priors: Priors,
     Returns -inf for states violating positivity or finiteness, which the
     sampler reads as an automatic rejection.
     """
-    total = 0.0
-    if isinstance(params, (Ard, Rotational)):
-        ls = params.lengthscales
-        if not (np.all(np.isfinite(ls)) and np.all(ls > 0.0)):
-            return _NEG_INF
-        total += float(np.sum(_normal_logpdf(
-            ls, priors.lengthscale_mean, priors.lengthscale_sd)))
-        if isinstance(params, Rotational):
-            a = params.axis_angle
-            if not np.all(np.isfinite(a)):
-                return _NEG_INF
-            total += float(np.sum(_normal_logpdf(a, 0.0, priors.axis_angle_sd)))
-    elif isinstance(params, CholeskySpd):
-        d, o = params.diag, params.offdiag
-        if not (np.all(np.isfinite(d)) and np.all(d > 0.0) and np.all(np.isfinite(o))):
-            return _NEG_INF
-        total += float(np.sum(_normal_logpdf(np.log(d), 0.0, priors.spd_logdiag_sd)))
-        total += float(np.sum(_normal_logpdf(o, 0.0, priors.spd_offdiag_sd)))
-    else:
-        raise TypeError(f"unknown metric parameterisation: {type(params).__name__}")
-    if log_noise_var is not None:
-        if not np.isfinite(log_noise_var):
-            return _NEG_INF
-        total += float(_normal_logpdf(log_noise_var, priors.log_noise_mean,
-                                      priors.log_noise_sd))
-    return total
+    total = params.log_prior(priors)
+    if total == _NEG_INF or log_noise_var is None:
+        return total
+    if not np.isfinite(log_noise_var):
+        return _NEG_INF
+    return total + float(normal_logpdf(log_noise_var, priors.log_noise_mean,
+                                       priors.log_noise_sd))
 
 
 def _log_lik(model: GPModel, params: MetricParams, noise_var: float,
@@ -254,84 +231,23 @@ def _log_lik(model: GPModel, params: MetricParams, noise_var: float,
         return _NEG_INF
 
 
-def param_names_for(kind: str, sample_noise: bool = False) -> list[str]:
-    names = {
-        "ard": ["l_x", "l_y", "l_z"],
-        "rotational": ["l_x", "l_y", "l_z", "a_1", "a_2", "a_3"],
-        "spd": ["d_1", "d_2", "d_3", "o_1", "o_2", "o_3"],
-    }[kind]
-    return names + ["noise_var"] if sample_noise else names
+def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
+            priors: Priors, scales: ProposalScales, rng: np.random.Generator,
+            sample_noise: bool = False, blocks: list[str] | None = None
+            ) -> tuple[SamplerState, bool]:
+    """One Metropolis-Hastings update of ``blocks``, by default all of them
+    jointly.
 
-
-def params_from_vector(kind: str, vec) -> MetricParams:
-    vec = np.asarray(vec, dtype=float)
-    if kind == "ard":
-        return Ard(vec[:3].copy())
-    if kind == "rotational":
-        return Rotational(vec[:3].copy(), vec[3:6].copy())
-    if kind == "spd":
-        return CholeskySpd(vec[:3].copy(), vec[3:6].copy())
-    raise ValueError(f"unknown parameterisation kind: {kind}")
-
-
-def params_to_vector(params: MetricParams) -> np.ndarray:
-    if isinstance(params, Ard):
-        return params.lengthscales.copy()
-    if isinstance(params, Rotational):
-        return np.concatenate([params.lengthscales, params.axis_angle])
-    if isinstance(params, CholeskySpd):
-        return np.concatenate([params.diag, params.offdiag])
-    raise TypeError(f"unknown metric parameterisation: {type(params).__name__}")
-
-
-def _blocks_for(kind: str, sample_noise: bool) -> list[str]:
-    blocks = {
-        "ard": ["lengthscales"],
-        "rotational": ["lengthscales", "axis_angle"],
-        "spd": ["cholesky"],
-    }[kind]
-    return blocks + ["noise"] if sample_noise else blocks
-
-
-def _propose(params: MetricParams, noise_var: float, blocks: list[str],
-             scales: ProposalScales, sample_noise: bool,
-             rng: np.random.Generator) -> tuple[MetricParams, float, float]:
-    """Perturb the listed blocks; returns (params', noise_var', jacobian).
-
-    The Jacobian term belongs to the length-scale block only: its prior is a
-    density over the raw length-scales while the walk happens in log space.
+    Proposals whose prior is -inf or whose Gram matrix cannot be factorized
+    are rejected without further work.
     """
-    jac = 0.0
-    new_params = params
-    new_noise = noise_var
-    if isinstance(params, (Ard, Rotational)):
-        ls = params.lengthscales
-        aa = params.axis_angle if isinstance(params, Rotational) else None
-        if "lengthscales" in blocks:
-            eps = rng.normal(0.0, scales.log_lengthscale, size=3)
-            ls = ls * np.exp(eps)
-            jac += float(np.sum(eps))
-        if aa is not None and "axis_angle" in blocks:
-            aa = aa + rng.normal(0.0, scales.axis_angle, size=3)
-        new_params = Rotational(ls, aa) if aa is not None else Ard(ls)
-    elif isinstance(params, CholeskySpd):
-        d, o = params.diag, params.offdiag
-        if "cholesky" in blocks:
-            d = d * np.exp(rng.normal(0.0, scales.spd, size=3))
-            o = o + rng.normal(0.0, scales.spd, size=3)
-        new_params = CholeskySpd(d, o)
+    if blocks is None:
+        blocks = list(state.params.blocks) + (["noise"] if sample_noise else [])
+    new_params, jac = state.params.propose(blocks, scales, rng)
+    new_noise = state.noise_var
     if sample_noise and "noise" in blocks:
-        new_noise = float(np.exp(np.log(noise_var)
+        new_noise = float(np.exp(np.log(state.noise_var)
                                  + rng.normal(0.0, scales.log_noise)))
-    return new_params, new_noise, jac
-
-
-def _accept_reject(state: SamplerState, data: Dataset | None, model: GPModel,
-                   priors: Priors, scales: ProposalScales, blocks: list[str],
-                   sample_noise: bool, rng: np.random.Generator
-                   ) -> tuple[SamplerState, bool]:
-    new_params, new_noise, jac = _propose(
-        state.params, state.noise_var, blocks, scales, sample_noise, rng)
     log_nv = math.log(new_noise) if sample_noise else None
     lp = log_prior(new_params, priors, log_noise_var=log_nv)
     if lp == _NEG_INF:
@@ -345,32 +261,10 @@ def _accept_reject(state: SamplerState, data: Dataset | None, model: GPModel,
     return state, False
 
 
-def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
-            priors: Priors, scales: ProposalScales, rng: np.random.Generator,
-            sample_noise: bool = False) -> tuple[SamplerState, bool]:
-    """One joint Metropolis-Hastings update of all parameter blocks.
-
-    Proposals whose prior is -inf or whose Gram matrix cannot be factorized
-    are rejected without further work.
-    """
-    kind = state.params.kind
-    blocks = _blocks_for(kind, sample_noise)
-    return _accept_reject(state, data, model, priors, scales, blocks,
-                          sample_noise, rng)
-
-
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   sample_noise: bool = False) -> SamplerState:
-    """Prior-mean start: length-scales at their prior means, identity rotation."""
-    kind = model.params.kind
-    if kind == "ard":
-        params = Ard(priors.lengthscale_mean.copy())
-    elif kind == "rotational":
-        params = Rotational(priors.lengthscale_mean.copy(), np.zeros(3))
-    elif kind == "spd":
-        params = CholeskySpd(np.ones(3), np.zeros(3))
-    else:
-        raise ValueError(f"unknown parameterisation kind: {kind}")
+    """Prior-mean start of the template's parameterisation."""
+    params = type(model.params).prior_mean(priors)
     noise_var = math.exp(priors.log_noise_mean) if sample_noise else model.noise_var
     log_nv = math.log(noise_var) if sample_noise else None
     lp = log_prior(params, priors, log_noise_var=log_nv)
@@ -388,18 +282,18 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     samples the prior (constant likelihood).
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    kind = model.params.kind
+    spec = type(model.params)
     state = initial_state(model, priors, data, config.sample_noise)
     if not np.isfinite(state.log_post):
         raise ChainInitError(
             f"initial state has invalid posterior (log_lik={state.log_lik}, "
             f"log_prior={state.log_prior})")
 
-    blocks = _blocks_for(kind, config.sample_noise)
+    blocks = list(spec.blocks) + (["noise"] if config.sample_noise else [])
     accept_counts = {b: 0 for b in (blocks if config.block_updates else ["joint"])}
     proposal_counts = {b: 0 for b in accept_counts}
 
-    names = param_names_for(kind, config.sample_noise)
+    names = list(spec.names) + (["noise_var"] if config.sample_noise else [])
     n_keep = (config.n_iters - config.burn_in) // config.thin
     iters = np.empty(n_keep, dtype=np.int64)
     states = np.empty((n_keep, len(names)))
@@ -409,19 +303,17 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     for i in range(1, config.n_iters + 1):
         if config.block_updates:
             for b in blocks:
-                state, accepted = _accept_reject(
-                    state, data, model, priors, scales, [b],
-                    config.sample_noise, rng)
+                state, accepted = mh_step(state, data, model, priors, scales,
+                                         rng, config.sample_noise, [b])
                 proposal_counts[b] += 1
                 accept_counts[b] += accepted
         else:
-            state, accepted = _accept_reject(
-                state, data, model, priors, scales, blocks,
-                config.sample_noise, rng)
+            state, accepted = mh_step(state, data, model, priors, scales,
+                                     rng, config.sample_noise, blocks)
             proposal_counts["joint"] += 1
             accept_counts["joint"] += accepted
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
-            vec = params_to_vector(state.params)
+            vec = state.params.to_vector()
             if config.sample_noise:
                 vec = np.append(vec, state.noise_var)
             iters[kept] = i
@@ -430,7 +322,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
             kept += 1
 
     assert kept == n_keep
-    return Chain(kind=kind, param_names=names, iters=iters, states=states,
+    return Chain(kind=spec.kind, param_names=names, iters=iters, states=states,
                  log_posts=log_posts, accept_counts=accept_counts,
                  proposal_counts=proposal_counts, config=config,
                  fixed_noise_var=None if config.sample_noise else model.noise_var)
@@ -458,21 +350,11 @@ def summarize(chain: Chain) -> PosteriorSummary:
     stats = {name: _column_stats(chain.states[:, j])
              for j, name in enumerate(chain.param_names)}
 
-    if chain.kind == "rotational":
-        a_cols = [chain.param_names.index(n) for n in ("a_1", "a_2", "a_3")]
-        angles = np.array([
-            math.degrees(geodesic_angle(exp_so3(row)))
-            for row in chain.states[:, a_cols]
-        ])
-        geo = _column_stats(angles)
-    elif chain.kind == "ard":
-        geo = {"mean": 0.0, "median": 0.0, "q05": 0.0, "q95": 0.0}
-    else:
-        geo = None
+    angles = [chain.spec.from_vector(row).rotation_deg()
+              for row in chain.states]
+    geo = None if None in angles else _column_stats(np.array(angles))
 
-    mean_vec = chain.states.mean(axis=0)
-    n_core = 3 if chain.kind == "ard" else 6
-    mean_params = params_from_vector(chain.kind, mean_vec[:n_core])
+    mean_params = chain.spec.from_vector(chain.states.mean(axis=0))
     anis = eigen_summary(build_metric(mean_params))
 
     if "noise_var" in chain.param_names:

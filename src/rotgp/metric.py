@@ -9,17 +9,25 @@ inside a stationary kernel:
   orientation; ``M = R^T diag(l^-2) R``.
 * :class:`CholeskySpd` -- generic lower-triangular factor, ``M = L L^T``.
 
+Each class is the one spec of its parameterisation: parameter names and
+flat-vector layout, MH update blocks, log prior and random-walk proposal,
+prior-mean start, metric builder and dict I/O. ``SPECS`` maps a model name to
+its class, so the sampler, summaries, config and CLI never branch on it.
+
 :func:`eigen_summary` reduces any such metric back to invariant quantities
 (sorted principal ranges, sign-fixed directions, rotation angle from axis
 alignment), which is how fits from the different parameterisations are
 compared.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .so3 import exp_so3, geodesic_angle
+
+_NEG_INF = float("-inf")
 
 
 class InvalidParamsError(ValueError):
@@ -30,51 +38,214 @@ class NotSpdError(ValueError):
     """Matrix handed to a summary is not symmetric positive definite."""
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise InvalidParamsError(message)
+
+
+def _positive_finite(v: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
+
+
+def normal_logpdf(x, mean, sd):
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return -0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi)
+
+
+def _lengthscale_log_prior(ls: np.ndarray, priors) -> float:
+    if not _positive_finite(ls):
+        return _NEG_INF
+    return float(np.sum(normal_logpdf(ls, priors.lengthscale_mean,
+                                      priors.lengthscale_sd)))
+
+
+def _walk_lengthscales(ls: np.ndarray, scales, rng) -> tuple[np.ndarray, float]:
+    """Log-scale random walk; returns the new length-scales and the log
+    Jacobian, which the acceptance ratio needs because the prior is a density
+    over the raw length-scales."""
+    eps = rng.normal(0.0, scales.log_lengthscale, size=3)
+    return ls * np.exp(eps), float(np.sum(eps))
+
+
+class _Spec:
+    """Flat-vector and dict I/O shared by the specs: each dataclass field is
+    a 3-vector, stored in declaration order under ``names``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    @classmethod
+    def from_vector(cls, vec):
+        """Parameters from the first ``len(names)`` entries of ``vec``."""
+        vec = np.asarray(vec, dtype=float)
+        return cls(*(vec[i:i + 3].copy() for i in range(0, len(cls.names), 3)))
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([getattr(self, f.name) for f in fields(self)])
+
+    @classmethod
+    def from_row(cls, row, fixed_noise_var):
+        """``(params, noise_var)`` of a stored chain row; a column after the
+        parameters holds sampled noise, else ``fixed_noise_var`` applies."""
+        n = len(cls.names)
+        noise_var = float(row[n]) if len(row) > n else fixed_noise_var
+        return cls.from_vector(row), noise_var
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """Parameters from a model-spec dict; KeyError names a missing field."""
+        return cls(*(doc[f.name] for f in fields(cls)))
+
+    def to_dict(self) -> dict:
+        out = {"model": self.kind}
+        for f in fields(self):
+            out[f.name] = [float(v) for v in getattr(self, f.name)]
+        return out
+
+
 @dataclass
-class Ard:
+class Ard(_Spec):
     """Axis-aligned metric: ``diag(lengthscales ** -2)``."""
 
     lengthscales: np.ndarray
 
-    def __post_init__(self):
-        self.lengthscales = np.asarray(self.lengthscales, dtype=float)
-
     kind = "ard"
+    names = ("l_x", "l_y", "l_z")
+    blocks = ("lengthscales",)
+
+    @classmethod
+    def prior_mean(cls, priors):
+        return cls(priors.lengthscale_mean.copy())
+
+    def metric(self) -> np.ndarray:
+        _require(_positive_finite(self.lengthscales),
+                 "ARD length-scales must be finite and positive")
+        return np.diag(self.lengthscales ** -2.0)
+
+    def log_prior(self, priors) -> float:
+        return _lengthscale_log_prior(self.lengthscales, priors)
+
+    def propose(self, blocks, scales, rng):
+        """Random-walk move of the listed blocks: ``(params', log Jacobian)``."""
+        if "lengthscales" not in blocks:
+            return self, 0.0
+        ls, jac = _walk_lengthscales(self.lengthscales, scales, rng)
+        return Ard(ls), jac
+
+    def rotation_deg(self) -> float:
+        return 0.0
 
 
 @dataclass
-class Rotational:
+class Rotational(_Spec):
     """Principal length-scales plus an axis-angle orientation."""
 
     lengthscales: np.ndarray
     axis_angle: np.ndarray
 
-    def __post_init__(self):
-        self.lengthscales = np.asarray(self.lengthscales, dtype=float)
-        self.axis_angle = np.asarray(self.axis_angle, dtype=float)
-
     kind = "rotational"
+    names = ("l_x", "l_y", "l_z", "a_1", "a_2", "a_3")
+    blocks = ("lengthscales", "axis_angle")
+
+    @classmethod
+    def prior_mean(cls, priors):
+        """Length-scales at their prior means, identity rotation."""
+        return cls(priors.lengthscale_mean.copy(), np.zeros(3))
+
+    def metric(self) -> np.ndarray:
+        _require(_positive_finite(self.lengthscales),
+                 "length-scales must be finite and positive")
+        _require(bool(np.all(np.isfinite(self.axis_angle))),
+                 "axis-angle vector must be finite")
+        R = exp_so3(self.axis_angle)
+        M = R.T @ np.diag(self.lengthscales ** -2.0) @ R
+        return 0.5 * (M + M.T)
+
+    def log_prior(self, priors) -> float:
+        lp = _lengthscale_log_prior(self.lengthscales, priors)
+        if lp == _NEG_INF or not np.all(np.isfinite(self.axis_angle)):
+            return _NEG_INF
+        return lp + float(np.sum(normal_logpdf(self.axis_angle, 0.0,
+                                               priors.axis_angle_sd)))
+
+    def propose(self, blocks, scales, rng):
+        ls, aa, jac = self.lengthscales, self.axis_angle, 0.0
+        if "lengthscales" in blocks:
+            ls, jac = _walk_lengthscales(ls, scales, rng)
+        if "axis_angle" in blocks:
+            aa = aa + rng.normal(0.0, scales.axis_angle, size=3)
+        return Rotational(ls, aa), jac
+
+    def rotation_deg(self) -> float:
+        return math.degrees(geodesic_angle(exp_so3(self.axis_angle)))
 
 
 @dataclass
-class CholeskySpd:
+class CholeskySpd(_Spec):
     """Generic SPD metric via its lower-triangular Cholesky factor.
 
     ``diag`` holds the three positive diagonal entries of L; ``offdiag``
     holds the sub-diagonal entries in the order (L[1,0], L[2,0], L[2,1]).
+    The prior sits on the log-diagonal, so its log-scale walk needs no
+    Jacobian term.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
 
-    def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.offdiag = np.asarray(self.offdiag, dtype=float)
-
     kind = "spd"
+    names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
+    blocks = ("cholesky",)
+
+    @classmethod
+    def prior_mean(cls, priors):
+        return cls(np.ones(3), np.zeros(3))
+
+    def metric(self) -> np.ndarray:
+        _require(_positive_finite(self.diag),
+                 "Cholesky diagonal must be finite and positive")
+        _require(bool(np.all(np.isfinite(self.offdiag))),
+                 "Cholesky off-diagonal entries must be finite")
+        d, o = self.diag, self.offdiag
+        L = np.array([[d[0], 0.0, 0.0],
+                      [o[0], d[1], 0.0],
+                      [o[1], o[2], d[2]]])
+        M = L @ L.T
+        return 0.5 * (M + M.T)
+
+    def log_prior(self, priors) -> float:
+        d, o = self.diag, self.offdiag
+        if not (_positive_finite(d) and np.all(np.isfinite(o))):
+            return _NEG_INF
+        return (float(np.sum(normal_logpdf(np.log(d), 0.0, priors.spd_logdiag_sd)))
+                + float(np.sum(normal_logpdf(o, 0.0, priors.spd_offdiag_sd))))
+
+    def propose(self, blocks, scales, rng):
+        if "cholesky" not in blocks:
+            return self, 0.0
+        d = self.diag * np.exp(rng.normal(0.0, scales.spd, size=3))
+        o = self.offdiag + rng.normal(0.0, scales.spd, size=3)
+        return CholeskySpd(d, o), 0.0
+
+    def rotation_deg(self) -> None:
+        """No rotation coordinate: summarized through the eigendecomposition."""
+        return None
 
 
 MetricParams = Ard | Rotational | CholeskySpd
+
+SPECS = {spec.kind: spec for spec in (Ard, Rotational, CholeskySpd)}
+
+
+def spec_for_columns(names) -> type | None:
+    """The spec named exactly by ``names``, with or without a trailing
+    ``noise_var``; None when there is none."""
+    core = list(names[:-1] if names[-1:] == ["noise_var"] else names)
+    for spec in SPECS.values():
+        if core == list(spec.names):
+            return spec
+    return None
 
 
 @dataclass
@@ -102,45 +273,13 @@ class AnisotropySummary:
         }
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidParamsError(message)
-
-
-def _positive_finite(v: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
-
-
 def build_metric(params: MetricParams) -> np.ndarray:
     """Assemble the SPD metric for a parameter state.
 
     Raises :class:`InvalidParamsError` on non-finite or non-positive required
     fields; samplers treat that as an automatic proposal rejection.
     """
-    if isinstance(params, Ard):
-        _require(_positive_finite(params.lengthscales),
-                 "ARD length-scales must be finite and positive")
-        return np.diag(params.lengthscales ** -2.0)
-    if isinstance(params, Rotational):
-        _require(_positive_finite(params.lengthscales),
-                 "length-scales must be finite and positive")
-        _require(bool(np.all(np.isfinite(params.axis_angle))),
-                 "axis-angle vector must be finite")
-        R = exp_so3(params.axis_angle)
-        M = R.T @ np.diag(params.lengthscales ** -2.0) @ R
-        return 0.5 * (M + M.T)
-    if isinstance(params, CholeskySpd):
-        _require(_positive_finite(params.diag),
-                 "Cholesky diagonal must be finite and positive")
-        _require(bool(np.all(np.isfinite(params.offdiag))),
-                 "Cholesky off-diagonal entries must be finite")
-        d, o = params.diag, params.offdiag
-        L = np.array([[d[0], 0.0, 0.0],
-                      [o[0], d[1], 0.0],
-                      [o[1], o[2], d[2]]])
-        M = L @ L.T
-        return 0.5 * (M + M.T)
-    raise TypeError(f"unknown metric parameterisation: {type(params).__name__}")
+    return params.metric()
 
 
 def eigen_summary(M) -> AnisotropySummary:

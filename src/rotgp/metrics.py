@@ -13,13 +13,13 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .gp import PredictiveResult
 
 # Central-interval half-widths in sd units for nominal 68% and 95% mass.
-Z68 = float(norm.ppf(0.84))
-Z95 = float(norm.ppf(0.975))
+Z68 = float(ndtri(0.84))
+Z95 = float(ndtri(0.975))
 
 _FIELDS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
            "std_z", "n_test"]

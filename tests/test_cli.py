@@ -268,6 +268,26 @@ class TestPredict:
         np.testing.assert_allclose(mix.mean, mean, atol=1e-12)
         np.testing.assert_allclose(mix.var, second - mean ** 2, atol=1e-12)
 
+    @pytest.mark.parametrize("columns", ["p,q,r", "p,q,r,noise_var",
+                                         "l_x,l_y,l_z,a_1"])
+    def test_mixture_rejects_unknown_chain_columns(self, dataset_dir, tmp_path,
+                                                   columns):
+        # Columns that name no model exactly must not be read as any model.
+        chain_csv = tmp_path / "chain.csv"
+        values = ",".join(["0.5"] * len(columns.split(",")))
+        chain_csv.write_text(f"iter,log_post,{columns}\n1,-1.0,{values}\n")
+        out = tmp_path / "predbad"
+        cfg = write_json(tmp_path / "pb.json", {
+            "train_csv": str(dataset_dir / "train.csv"),
+            "test_csv": str(dataset_dir / "test.csv"),
+            "model_params": {"model": "ard", "profile": {"type": "se"},
+                             "lengthscales": [0.5, 0.5, 0.5], "noise_sd": 0.1},
+            "chain_csv": str(chain_csv),
+            "out_dir": str(out)})
+        assert main(["predict", "--config", cfg,
+                     "--posterior-mean-of-predictions"]) == 2
+        assert not (out / "predictions.csv").exists()
+
     def test_standardize_round_trip(self, tmp_path):
         # Outputs far from zero mean: fit standardizes internally, predict
         # must report on the original scale.

@@ -3,12 +3,17 @@ import pytest
 from scipy.special import gamma, kv
 
 from rotgp.kernels import (GramFactorizationError, Matern, SquaredExponential,
-                           cross_gram, gram, radial_profile,
-                           sq_rotated_distance)
+                           cross_gram, gram, radial_profile)
 from rotgp.metric import Ard, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
 M_TRUE = build_metric(Rotational((0.40, 0.10, 0.80), (0.7, -0.4, 1.0)))
+
+
+def sq_rotated_distance(M, x, x2) -> float:
+    """Oracle: squared distance between two points under the metric M."""
+    d = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
+    return max(float(d @ (np.asarray(M, dtype=float) @ d)), 0.0)
 
 
 def matern_bessel(nu, psi):

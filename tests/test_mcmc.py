@@ -8,9 +8,9 @@ from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import SquaredExponential
 from rotgp.mcmc import (Chain, ChainConfig, ChainInitError, Priors,
                         ProposalScales, effective_sample_size, initial_state,
-                        load_chain_csv, log_prior, mh_step, param_names_for,
-                        params_from_vector, run_chain, summarize)
-from rotgp.metric import Ard, CholeskySpd, Rotational
+                        load_chain_csv, log_prior, mh_step, run_chain,
+                        summarize)
+from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
 from rotgp.so3 import exp_so3, geodesic_angle
 
 
@@ -19,7 +19,7 @@ def gaussian_logpdf(x, mean, sd):
 
 
 def template(kind):
-    params = params_from_vector(kind, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    params = SPECS[kind].from_vector([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     return GPModel(SquaredExponential(), params, 0.0025)
 
 
@@ -271,7 +271,7 @@ class TestSummarize:
     def test_degenerate_chain_zero_width(self):
         states = np.tile([0.4, 0.1, 0.8, 0.7, -0.4, 1.0], (20, 1))
         chain = Chain(kind="rotational",
-                      param_names=param_names_for("rotational"),
+                      param_names=list(Rotational.names),
                       iters=np.arange(1, 21), states=states,
                       log_posts=np.full(20, -3.0),
                       accept_counts={"joint": 5}, proposal_counts={"joint": 20},

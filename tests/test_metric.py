@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from rotgp.metric import (Ard, CholeskySpd, InvalidParamsError, NotSpdError,
-                          Rotational, build_metric, eigen_summary,
-                          misalignment_angles)
+from rotgp.config import SCHEMAS, ConfigError, metric_params_from_dict
+from rotgp.mcmc import Priors
+from rotgp.metric import (SPECS, Ard, CholeskySpd, InvalidParamsError,
+                          NotSpdError, Rotational, build_metric, eigen_summary,
+                          misalignment_angles, spec_for_columns)
 from rotgp.so3 import exp_so3
 
 L_TRUE = (0.40, 0.10, 0.80)
@@ -185,3 +187,40 @@ class TestMisalignmentAngles:
             s2 = eigen_summary(build_metric(random_params("rotational", rng)))
             angles = misalignment_angles(s1, s2)
             assert np.all(angles >= 0.0) and np.all(angles <= 90.0)
+
+
+@pytest.mark.parametrize("spec", list(SPECS.values()), ids=list(SPECS))
+def test_spec_layout_and_io(spec):
+    start = spec.prior_mean(Priors())
+    assert len(spec.names) == start.to_vector().size
+
+    vec = np.random.default_rng(41).uniform(0.1, 1.0, len(spec.names))
+    params = spec.from_vector(vec)
+    assert type(params) is spec
+    assert np.array_equal(params.to_vector(), vec)
+    row_params, row_noise = spec.from_row(np.append(vec, 0.3), None)
+    assert np.array_equal(row_params.to_vector(), vec) and row_noise == 0.3
+    assert spec.from_row(vec, 0.01)[1] == 0.01
+
+    doc = params.to_dict()
+    assert doc["model"] == spec.kind
+    back = metric_params_from_dict(doc)
+    assert type(back) is spec
+    assert np.array_equal(back.to_vector(), vec)
+    for field in set(doc) - {"model"}:
+        with pytest.raises(ConfigError, match=field):
+            metric_params_from_dict({k: v for k, v in doc.items() if k != field})
+
+    assert spec_for_columns(list(spec.names)) is spec
+    assert spec_for_columns(list(spec.names) + ["noise_var"]) is spec
+    assert spec_for_columns(list(spec.names)[:-1]) is None
+
+
+def test_registry_keys_equal_schema_model_enum():
+    enum = SCHEMAS["fit"]["properties"]["model"]["enum"]
+    assert list(SPECS) == enum
+    assert SCHEMAS["generate"]["properties"]["generator"]["properties"][
+        "model"]["enum"] == enum
+    assert SCHEMAS["experiment"]["properties"]["models"]["items"]["enum"] == enum
+    with pytest.raises(ConfigError, match="unknown model"):
+        metric_params_from_dict({"model": "diag", "lengthscales": [1, 1, 1]})
