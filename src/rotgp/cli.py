@@ -181,14 +181,23 @@ def _model_from_summary(sdoc: dict):
 
 
 def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
-    """Average the closed-form predictive over stored posterior samples."""
-    names, _, _, states = load_chain_csv(chain_csv)
+    """Average the closed-form predictive over stored posterior samples.
+
+    The variance is floored at the mean of the samples' noise variances, a
+    true lower bound because each sample's predictive variance is at least
+    its own noise variance; the floor absorbs round-off as in ``predict``.
+    """
+    try:
+        names, _, _, states = load_chain_csv(chain_csv)
+    except ValueError as exc:
+        raise DataFormatError(f"{chain_csv}: {exc}") from None
     spec = spec_for_columns(names)
     if spec is None:
         raise DataFormatError(
             f"{chain_csv}: chain columns {','.join(names)} match no model")
     mean_acc = None
     second_acc = None
+    noise_acc = 0.0
     for row in states:
         params, noise_var = spec.from_row(row, fixed_noise_var)
         res = predict(GPModel(profile=profile, params=params,
@@ -198,10 +207,11 @@ def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
             second_acc = np.zeros_like(res.mean)
         mean_acc += res.mean
         second_acc += res.var + res.mean ** 2
+        noise_acc += noise_var
     n = states.shape[0]
     mean = mean_acc / n
     var = second_acc / n - mean ** 2
-    return PredictiveResult(mean=mean, var=np.maximum(var, 0.0))
+    return PredictiveResult(mean=mean, var=np.maximum(var, noise_acc / n))
 
 
 def cmd_predict(doc: dict) -> int:

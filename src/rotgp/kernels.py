@@ -59,36 +59,55 @@ class GramMatrix:
     chol_lower: np.ndarray
 
 
-def radial_profile(profile: KernelProfile, psi):
+def radial_profile(profile: KernelProfile, psi, out=None):
     """Evaluate the kernel profile at squared distance(s) ``psi``.
 
     Accepts scalars or arrays; returns values in (0, 1] with
-    ``radial_profile(p, 0) == 1`` for every profile.
+    ``radial_profile(p, 0) == 1`` for every profile. An array ``out`` of
+    ``psi``'s shape receives the result and may be ``psi`` itself.
     """
     psi_arr = np.asarray(psi, dtype=float)
+    if out is None:
+        out = np.empty_like(psi_arr)
     if isinstance(profile, SquaredExponential):
-        out = np.exp(-0.5 * psi_arr)
+        np.multiply(psi_arr, -0.5, out=out)
+        np.exp(out, out=out)
     else:
-        r = np.sqrt(2.0 * profile.nu * psi_arr)
+        r = np.multiply(psi_arr, 2.0 * profile.nu, out=out)
+        np.sqrt(r, out=r)
         if profile.nu == 0.5:
-            out = np.exp(-r)
-        elif profile.nu == 1.5:
-            out = (1.0 + r) * np.exp(-r)
+            np.negative(r, out=r)
+            np.exp(r, out=r)
         else:
-            out = (1.0 + r + r * r / 3.0) * np.exp(-r)
+            decay = np.exp(-r)
+            if profile.nu == 2.5:
+                r2_3 = np.multiply(r, r)
+                r2_3 /= 3.0
+                r += 1.0
+                r += r2_3
+            else:
+                r += 1.0
+            r *= decay
     if np.ndim(psi) == 0:
         return float(out)
     return out
 
 
 def _pairwise_sq_dist(M: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # psi_ij = ||L^T (a_i - b_j)||^2 with M = L L^T; the difference is formed
-    # in transformed coordinates, which is exact for coincident points.
+    # psi_ij = ||L^T (a_i - b_j)||^2 with M = L L^T, summed one whitened
+    # coordinate at a time: each difference is exact, so coincident points
+    # give psi = 0 and psi >= 0, and no (na, nb, 3) temporary is formed.
     L = np.linalg.cholesky(M)
     Wa = A @ L
-    Wb = B @ L
-    D = Wa[:, None, :] - Wb[None, :, :]
-    return np.einsum("ijk,ijk->ij", D, D)
+    Wb = Wa if B is A else B @ L
+    psi = np.subtract.outer(Wa[:, 0], Wb[:, 0])
+    np.multiply(psi, psi, out=psi)
+    d = np.empty_like(psi)
+    for k in (1, 2):
+        np.subtract.outer(Wa[:, k], Wb[:, k], out=d)
+        np.multiply(d, d, out=d)
+        psi += d
+    return psi
 
 
 def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
@@ -103,17 +122,18 @@ def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
     if noise_var < 0.0:
         raise ValueError("noise_var must be non-negative")
     M = np.asarray(M, dtype=float)
-    K = radial_profile(profile, _pairwise_sq_dist(M, X, X))
-    idx = np.diag_indices_from(K)
-    K[idx] += noise_var
+    K = _pairwise_sq_dist(M, X, X)
+    radial_profile(profile, K, out=K)
+    diag = K.reshape(-1)[:: K.shape[0] + 1]
+    diag += noise_var
 
-    base = 1e-12 * float(np.mean(np.diag(K)))
+    base = 1e-12 * float(np.mean(diag))
+    clean = diag.copy()
     jitter = 0.0
     while True:
-        Kj = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
         try:
-            C = cholesky(Kj, lower=True, check_finite=False)
-            return GramMatrix(matrix=Kj, jitter=jitter, chol_lower=C)
+            C = cholesky(K, lower=True, check_finite=False)
+            return GramMatrix(matrix=K, jitter=jitter, chol_lower=C)
         except LinAlgError:
             jitter = base if jitter == 0.0 else 10.0 * jitter
             if jitter > JITTER_CAP:
@@ -121,6 +141,7 @@ def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
                     f"Cholesky failed at jitter cap {JITTER_CAP:g} "
                     f"(n={K.shape[0]}, noise_var={noise_var:g})"
                 ) from None
+            np.add(clean, jitter, out=diag)
 
 
 def cross_gram(profile: KernelProfile, M, X_test, X_train) -> np.ndarray:
@@ -130,4 +151,5 @@ def cross_gram(profile: KernelProfile, M, X_test, X_train) -> np.ndarray:
     if not (np.all(np.isfinite(X_test)) and np.all(np.isfinite(X_train))):
         raise ValueError("inputs must be finite")
     M = np.asarray(M, dtype=float)
-    return radial_profile(profile, _pairwise_sq_dist(M, X_test, X_train))
+    psi = _pairwise_sq_dist(M, X_test, X_train)
+    return radial_profile(profile, psi, out=psi)

@@ -71,12 +71,17 @@ class Priors:
 
 @dataclass
 class ProposalScales:
-    """Random-walk standard deviations per parameter block."""
+    """Random-walk standard deviations per parameter block.
+
+    ``log_noise`` is wide because the log noise variance is weakly identified
+    at desk scale; 1.0 keeps the noise block's acceptance inside
+    ``ACCEPT_RATE_WINDOW`` on d1 fits at n=300 for every model.
+    """
 
     log_lengthscale: float = 0.05
     axis_angle: float = 0.08
     spd: float = 0.05
-    log_noise: float = 0.05
+    log_noise: float = 1.0
 
     def __post_init__(self):
         for name in ("log_lengthscale", "axis_angle", "spd", "log_noise"):

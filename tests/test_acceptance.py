@@ -30,6 +30,8 @@ from rotgp.metric import (Ard, Rotational, build_metric, eigen_summary,
 from rotgp.metrics import compute_metrics
 from rotgp.so3 import exp_so3, geodesic_angle, skew
 
+pytestmark = pytest.mark.acceptance
+
 L_TRUE = (0.40, 0.10, 0.80)
 A_TRUE = (0.7, -0.4, 1.0)
 NOISE_SD = 0.05

@@ -268,14 +268,33 @@ class TestPredict:
         np.testing.assert_allclose(mix.mean, mean, atol=1e-12)
         np.testing.assert_allclose(mix.var, second - mean ** 2, atol=1e-12)
 
-    @pytest.mark.parametrize("columns", ["p,q,r", "p,q,r,noise_var",
-                                         "l_x,l_y,l_z,a_1"])
-    def test_mixture_rejects_unknown_chain_columns(self, dataset_dir, tmp_path,
-                                                   columns):
-        # Columns that name no model exactly must not be read as any model.
+    def test_mixture_variance_floored_at_noise(self, dataset_dir, tmp_path):
+        # At training points with tiny noise, E[var + mean^2] - mean^2 loses
+        # the variance to round-off; the mixture, like predict, must not
+        # report less than the mean noise variance of its samples.
+        from rotgp.cli import _mixture_predict
+        from rotgp.data import load_csv as _load
+        from rotgp.kernels import SquaredExponential
+
+        train = _load(dataset_dir / "train.csv")
+        noise_vars = [1e-20, 3e-20]
         chain_csv = tmp_path / "chain.csv"
-        values = ",".join(["0.5"] * len(columns.split(",")))
-        chain_csv.write_text(f"iter,log_post,{columns}\n1,-1.0,{values}\n")
+        with open(chain_csv, "w") as f:
+            f.write("iter,log_post,l_x,l_y,l_z,noise_var\n")
+            for i, nv in enumerate(noise_vars):
+                f.write(f"{i+1},-1.0,0.5,0.3,0.9,{nv!r}\n")
+        mix = _mixture_predict(chain_csv, SquaredExponential(), None,
+                               train, train.X)
+        floor = np.mean(noise_vars)
+        assert np.all(mix.var >= floor)
+        assert np.any(mix.var == floor)  # round-off would have been kept
+
+    @staticmethod
+    def _mixture_on_bad_chain(dataset_dir, tmp_path, text):
+        """Exit code of a mixture predict over a chain file holding ``text``,
+        which must leave no predictions file behind."""
+        chain_csv = tmp_path / "chain.csv"
+        chain_csv.write_text(text)
         out = tmp_path / "predbad"
         cfg = write_json(tmp_path / "pb.json", {
             "train_csv": str(dataset_dir / "train.csv"),
@@ -284,9 +303,30 @@ class TestPredict:
                              "lengthscales": [0.5, 0.5, 0.5], "noise_sd": 0.1},
             "chain_csv": str(chain_csv),
             "out_dir": str(out)})
-        assert main(["predict", "--config", cfg,
-                     "--posterior-mean-of-predictions"]) == 2
+        rc = main(["predict", "--config", cfg,
+                   "--posterior-mean-of-predictions"])
         assert not (out / "predictions.csv").exists()
+        return rc
+
+    @pytest.mark.parametrize("columns", ["p,q,r", "p,q,r,noise_var",
+                                         "l_x,l_y,l_z,a_1"])
+    def test_mixture_rejects_unknown_chain_columns(self, dataset_dir, tmp_path,
+                                                   columns):
+        # Columns that name no model exactly must not be read as any model.
+        values = ",".join(["0.5"] * len(columns.split(",")))
+        assert self._mixture_on_bad_chain(
+            dataset_dir, tmp_path,
+            f"iter,log_post,{columns}\n1,-1.0,{values}\n") == 2
+
+    @pytest.mark.parametrize("text", [
+        "a,b,l_x,l_y,l_z\n1,-1.0,0.5,0.5,0.5\n",  # not a chain header
+        "iter,log_post,l_x,l_y,l_z\n",  # header and no rows
+    ], ids=["bad-header", "no-rows"])
+    def test_mixture_rejects_malformed_chain_file(self, dataset_dir, tmp_path,
+                                                  text):
+        # A malformed chain file is a data format error (exit 2), not a
+        # computation failure (exit 1).
+        assert self._mixture_on_bad_chain(dataset_dir, tmp_path, text) == 2
 
     def test_standardize_round_trip(self, tmp_path):
         # Outputs far from zero mean: fit standardizes internally, predict

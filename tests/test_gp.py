@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from rotgp.gp import Dataset, GPModel, log_marginal_likelihood, predict
-from rotgp.kernels import SquaredExponential, cross_gram
+from rotgp.kernels import Matern, SquaredExponential, cross_gram, radial_profile
 from rotgp.metric import Ard, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
@@ -29,6 +29,20 @@ def dense_loglik(model, data):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     quad = data.y @ np.linalg.inv(K) @ data.y
+    return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * np.log(2 * np.pi)
+
+
+def naive_loglik(model, data):
+    """Reference independent of the package's distance and Cholesky path:
+    the quadratic form (x - x')^T M (x - x') formed directly, an LU solve and
+    slogdet."""
+    M = build_metric(model.params)
+    D = data.X[:, None, :] - data.X[None, :, :]
+    psi = np.maximum(np.einsum("ijk,kl,ijl->ij", D, M, D), 0.0)
+    K = radial_profile(model.profile, psi) + model.noise_var * np.eye(data.n)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    quad = data.y @ np.linalg.solve(K, data.y)
     return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * np.log(2 * np.pi)
 
 
@@ -66,6 +80,17 @@ class TestLogMarginalLikelihood:
             data = random_dataset(rng, n)
             ours = log_marginal_likelihood(model, data)
             assert ours == pytest.approx(dense_loglik(model, data), rel=1e-10)
+
+    @pytest.mark.parametrize("profile", [SquaredExponential(), Matern(0.5),
+                                         Matern(1.5), Matern(2.5)],
+                             ids=["se", "matern12", "matern32", "matern52"])
+    def test_matches_naive_reference_at_n300(self, profile):
+        rng = np.random.default_rng(13)
+        data = random_dataset(rng, 300)
+        model = GPModel(profile, Rotational((0.40, 0.10, 0.80),
+                                            (0.7, -0.4, 1.0)), 0.0025)
+        ours = log_marginal_likelihood(model, data)
+        assert ours == pytest.approx(naive_loglik(model, data), rel=1e-10)
 
     def test_invariant_under_parameter_symmetry(self):
         # States that induce the same metric give identical likelihoods.

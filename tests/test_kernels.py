@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gamma, kv
 
 from rotgp.kernels import (GramFactorizationError, Matern, SquaredExponential,
-                           cross_gram, gram, radial_profile)
-from rotgp.metric import Ard, Rotational, build_metric
+                           _pairwise_sq_dist, cross_gram, gram, radial_profile)
+from rotgp.metric import Ard, CholeskySpd, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
 M_TRUE = build_metric(Rotational((0.40, 0.10, 0.80), (0.7, -0.4, 1.0)))
@@ -202,3 +205,82 @@ class TestCrossGram:
         full = gram(SquaredExponential(), M_TRUE, stacked, 0.0)
         block = cross_gram(SquaredExponential(), M_TRUE, X_test, X_train)
         np.testing.assert_allclose(block, full.matrix[:5, 5:], atol=1e-14)
+
+
+# Property tests of the distance kernel over random inputs, all three metric
+# parameterisations and rotations with |a| near pi.
+PROFILES = (SquaredExponential(), Matern(0.5), Matern(1.5), Matern(2.5))
+_lengthscales = arrays(np.float64, 3, elements=st.floats(0.2, 1.5))
+_angle = st.one_of(st.floats(0.0, np.pi),
+                   st.floats(np.pi - 1e-6, np.pi + 1e-6))
+_axis = arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda u: np.linalg.norm(u) > 1e-3)
+_metric_params = st.one_of(
+    st.builds(Ard, _lengthscales),
+    st.builds(lambda ls, u, t: Rotational(ls, t * u / np.linalg.norm(u)),
+              _lengthscales, _axis, _angle),
+    st.builds(CholeskySpd,
+              arrays(np.float64, 3, elements=st.floats(0.7, 3.0)),
+              arrays(np.float64, 3, elements=st.floats(-1.5, 1.5))),
+)
+
+
+@st.composite
+def _inputs_with_duplicates(draw):
+    """(X, dup): random points, with rows ``dup[:, 1]`` copied from
+    ``dup[:, 0]``."""
+    n = draw(st.integers(1, 12))
+    X = draw(arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0)))
+    src = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    dup = np.array([(i, n + k) for k, i in enumerate(src)],
+                   dtype=int).reshape(-1, 2)
+    return np.vstack([X, X[dup[:, 0]]]), dup
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestDistanceProperties:
+    @_property
+    @given(_inputs_with_duplicates(), _metric_params)
+    def test_psi_nonnegative_and_zero_on_duplicates(self, inputs, params):
+        X, dup = inputs
+        psi = _pairwise_sq_dist(build_metric(params), X, X)
+        assert np.all(psi >= 0.0)
+        assert np.all(np.diag(psi) == 0.0)
+        assert np.all(psi[dup[:, 0], dup[:, 1]] == 0.0)
+        assert np.all(psi[dup[:, 1], dup[:, 0]] == 0.0)
+
+    @_property
+    @given(_inputs_with_duplicates(), _metric_params,
+           st.sampled_from(PROFILES), st.sampled_from([0.0, 0.0025, 0.5]))
+    def test_gram_symmetric_and_consistent_with_cross_gram(
+            self, inputs, params, profile, noise_var):
+        X, _ = inputs
+        M = build_metric(params)
+        gm = gram(profile, M, X, noise_var)
+        assert np.array_equal(gm.matrix, gm.matrix.T)
+        K = cross_gram(profile, M, X, X)
+        off = ~np.eye(len(X), dtype=bool)
+        assert np.array_equal(gm.matrix[off], K[off])
+        assert np.all(np.diag(K) == 1.0)
+        assert np.all(np.diag(gm.matrix) == (1.0 + noise_var) + gm.jitter)
+
+    @_property
+    @given(_inputs_with_duplicates(), _metric_params,
+           st.sampled_from(PROFILES))
+    def test_gram_and_cross_gram_match_double_loop_oracle(
+            self, inputs, params, profile):
+        X, _ = inputs
+        n, h = len(X), len(X) // 2
+        M = build_metric(params)
+        oracle = np.array([[radial_profile(
+            profile, sq_rotated_distance(M, X[i], X[j])) for j in range(n)]
+            for i in range(n)])
+        assert np.abs(cross_gram(profile, M, X, X) - oracle).max() <= 1e-14
+        assert np.abs(cross_gram(profile, M, X[:h], X[h:])
+                      - oracle[:h, h:]).max(initial=0.0) <= 1e-14
+        gm = gram(profile, M, X, 0.0025)
+        oracle[np.diag_indices(n)] += 0.0025 + gm.jitter
+        assert np.abs(gm.matrix - oracle).max() <= 1e-14

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from rotgp.data import SyntheticConfig, generate_synthetic
 from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import SquaredExponential
-from rotgp.mcmc import (Chain, ChainConfig, ChainInitError, Priors,
-                        ProposalScales, effective_sample_size, initial_state,
+from rotgp.mcmc import (ACCEPT_RATE_WINDOW, Chain, ChainConfig,
+                        ChainInitError, Priors, ProposalScales,
+                        effective_sample_size, initial_state,
                         load_chain_csv, log_prior, mh_step, run_chain,
                         summarize)
 from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
@@ -21,6 +23,16 @@ def gaussian_logpdf(x, mean, sd):
 def template(kind):
     params = SPECS[kind].from_vector([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     return GPModel(SquaredExponential(), params, 0.0025)
+
+
+@pytest.fixture(scope="module")
+def d1_desk_train():
+    """Training half of the d1 generator at desk size (n=300)."""
+    generator = GPModel(SquaredExponential(),
+                        Rotational((0.40, 0.10, 0.80), (0.7, -0.4, 1.0)),
+                        0.05 ** 2)
+    return generate_synthetic(SyntheticConfig(
+        n_train=300, n_test=150, generator=generator, seed=1)).train
 
 
 def tiny_data(rng=None, n=12):
@@ -197,6 +209,20 @@ class TestRunChain:
         assert chain.param_names == ["l_x", "l_y", "l_z", "noise_var"]
         assert np.all(chain.states[:, -1] > 0)
         assert chain.fixed_noise_var is None
+
+    @pytest.mark.parametrize("kind", ["ard", "rotational", "spd"])
+    def test_default_noise_proposal_in_acceptance_window(self, d1_desk_train,
+                                                         kind):
+        # With noise sampled, the default noise step must mix: a short d1
+        # chain at n=300 accepts noise moves at a rate inside the window.
+        chain = run_chain(ChainConfig(n_iters=200, burn_in=100, thin=2, seed=1,
+                                      block_updates=True, sample_noise=True),
+                          d1_desk_train,
+                          GPModel(SquaredExponential(),
+                                  SPECS[kind].prior_mean(Priors()), 0.0025),
+                          Priors(), ProposalScales())
+        lo, hi = ACCEPT_RATE_WINDOW
+        assert lo < chain.acceptance_rates()["noise"] < hi
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ChainConfig(n_iters=200, burn_in=50, seed=9, thin=2)
