@@ -9,9 +9,17 @@ Exit codes: 0 success, 1 computation failure, 2 usage or config error.
 """
 
 import argparse
+import contextlib
+import ctypes
+import functools
+import io
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
+import signal
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +38,8 @@ from .metrics import append_ledger_row, compute_metrics, write_metrics_json
 # fixed offsets and recorded in the resolved config.
 _FIT_SEED_OFFSET = {"rotational": 101, "spd": 102, "ard": 103}
 _PLANE_SEED_OFFSET = 7
+
+_PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>
 
 _METRIC_COLUMNS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
                    "std_z", "n_test"]
@@ -59,10 +69,19 @@ def _write_predictions(path, X, truth, mean, sd) -> None:
             f.write(",".join(cells) + "\n")
 
 
+def _read_rows(f) -> np.ndarray:
+    """The numeric CSV rows left in ``f``; empty when there are none, without
+    numpy's no-data warning."""
+    lines = f.read().splitlines()
+    if not any(line.strip() for line in lines):
+        return np.empty((0, 0))
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
 def _read_predictions(path):
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        rows = _read_rows(f)
     if rows.size == 0 or rows.shape[1] != len(header):
         raise DataFormatError(f"{path}: empty or inconsistent predictions file")
     cols = {name: rows[:, j] for j, name in enumerate(header)}
@@ -80,7 +99,7 @@ def _load_locations(path):
             d = load_csv(path)
             return d.X, d.y
         if header == ["x", "y", "z"]:
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+            rows = _read_rows(f)
             if rows.size == 0 or rows.shape[1] != 3:
                 raise DataFormatError(f"{path}: empty or malformed location file")
             return rows, None
@@ -323,40 +342,25 @@ def _experiment_stage_docs(doc: dict):
     return fits
 
 
-def cmd_experiment(doc: dict) -> int:
-    doc = cfg.merge(cfg.EXPERIMENT_PRESETS[doc["scenario"]], doc)
-    out = doc["out_dir"]
-    _ensure_dir(out)
-    scenario = doc["scenario"]
-    stage = "setup"
-    try:
-        if scenario in ("d1", "d2"):
-            stage = "generate"
-            gen_doc = {
-                "n_train": doc["n_train"], "n_test": doc["n_test"],
-                "cube_half_width": doc["cube_half_width"], "seed": doc["seed"],
-                "generator": doc["generator"], "out_dir": out,
-            }
-            cfg.validate("generate", gen_doc)
-            cmd_generate(gen_doc)
-            planes = None
-        else:
-            stage = "generate"
-            planes = _generate_plane_holdout(doc)
+class _PipelineResult(NamedTuple):
+    """One model's experiment stages as run in a worker: the comparison row,
+    the text the stages printed, and the stage that failed with its error."""
 
-        fit_docs = _experiment_stage_docs(doc)
-        resolved = dict(doc)
-        resolved["derived_seeds"] = {
-            m: d["chain"]["seed"] for m, d in fit_docs.items()}
-        if planes is not None:
-            resolved["holdout_planes"] = planes
-        cfg.dump_json(os.path.join(out, "resolved-config.json"), resolved)
+    row: dict | None
+    stdout: str
+    stderr: str
+    stage: str
+    error: Exception | None
 
-        rows = []
-        for model in doc["models"]:
+
+def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
+    """Fit, predict and evaluate one model, capturing what the stages print."""
+    model = fit_doc["model"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    row, error = None, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
             stage = f"fit:{model}"
-            fit_doc = _resolve_fit_doc(fit_docs[model])
-            cfg.validate("fit", fit_doc)
             cmd_fit(fit_doc)
 
             stage = f"predict:{model}"
@@ -380,8 +384,104 @@ def cmd_experiment(doc: dict) -> int:
             with open(os.path.join(out, model, "metrics.json"),
                       encoding="utf-8") as f:
                 metrics = json.load(f)
-            rows.append({"model": model,
-                         **{k: metrics[k] for k in _METRIC_COLUMNS}})
+            row = {"model": model, **{k: metrics[k] for k in _METRIC_COLUMNS}}
+        except Exception as exc:
+            # pickles as exc with the worker's traceback text as its cause
+            error = multiprocessing.pool.ExceptionWithTraceback(
+                exc, exc.__traceback__)
+    return _PipelineResult(row, stdout.getvalue(), stderr.getvalue(), stage,
+                           error)
+
+
+def _init_worker() -> None:
+    """Workers die with their parent (Linux) and on SIGTERM, and leave
+    SIGINT to the parent, whose pool exit then terminates them.
+
+    The parent-death signal also covers a parent killed by SIGKILL. Its
+    result is not checked: a worker that cannot set it still does its work.
+    """
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _run_model_pipelines(out: str, scenario: str,
+                         fit_docs: list[dict]) -> list[_PipelineResult]:
+    """One forked worker per model (at most three), results in model order.
+
+    Fork, not spawn: workers start without re-importing numpy and scipy
+    (about 0.7 s each). The parent runs no threads of its own when it forks;
+    the pool starts its handler threads after its workers.
+    """
+    sys.stdout.flush()  # a forked worker would otherwise repeat buffered text
+    sys.stderr.flush()
+    pipeline = functools.partial(_model_pipeline, out, scenario)
+    context = multiprocessing.get_context("fork")
+    # Python's default SIGTERM action would skip the pool's exit, which
+    # terminates the workers; as SystemExit it runs.
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        with context.Pool(len(fit_docs), initializer=_init_worker) as pool:
+            return pool.map(pipeline, fit_docs)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def cmd_experiment(doc: dict) -> int:
+    """Generate, then fit -> predict -> evaluate every model in parallel
+    worker processes; files and printed lines match a one-by-one run."""
+    doc = cfg.merge(cfg.EXPERIMENT_PRESETS[doc["scenario"]], doc)
+    out = doc["out_dir"]
+    _ensure_dir(out)
+    scenario = doc["scenario"]
+    stage = "setup"
+    try:
+        if scenario in ("d1", "d2"):
+            stage = "generate"
+            gen_doc = {
+                "n_train": doc["n_train"], "n_test": doc["n_test"],
+                "cube_half_width": doc["cube_half_width"], "seed": doc["seed"],
+                "generator": doc["generator"], "out_dir": out,
+            }
+            cfg.validate("generate", gen_doc)
+            cmd_generate(gen_doc)
+            planes = None
+        else:
+            stage = "generate"
+            planes = _generate_plane_holdout(doc)
+
+        stage_docs = _experiment_stage_docs(doc)
+        resolved = dict(doc)
+        resolved["derived_seeds"] = {
+            m: d["chain"]["seed"] for m, d in stage_docs.items()}
+        if planes is not None:
+            resolved["holdout_planes"] = planes
+        cfg.dump_json(os.path.join(out, "resolved-config.json"), resolved)
+
+        # Config errors surface here, before any fit starts.
+        fit_docs = []
+        for model in doc["models"]:
+            stage = f"fit:{model}"
+            fit_doc = _resolve_fit_doc(stage_docs[model])
+            cfg.validate("fit", fit_doc)
+            fit_docs.append(fit_doc)
+
+        rows = []
+        for result in _run_model_pipelines(out, scenario, fit_docs):
+            sys.stderr.write(result.stderr)
+            sys.stdout.write(result.stdout)
+            if result.error is not None:
+                stage = result.stage
+                raise result.error
+            rows.append(result.row)
 
         stage = "report"
         _write_comparison(out, scenario, rows)

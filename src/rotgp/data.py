@@ -8,6 +8,7 @@ given the seed.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +117,13 @@ def load_csv(path) -> Dataset:
                 raise DataFormatError(
                     f"{path}: line {lineno}: expected 4 columns, got {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                values = [float(c) for c in cells]
             except ValueError:
                 raise DataFormatError(
                     f"{path}: line {lineno}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
+            rows.append(values)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     arr = np.asarray(rows)

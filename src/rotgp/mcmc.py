@@ -382,11 +382,14 @@ def load_chain_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
     """Read a chain CSV back as (param_names, iters, log_posts, states)."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        lines = f.read().splitlines()
     if header[:2] != ["iter", "log_post"]:
         raise ValueError(f"not a chain CSV: header starts with {header[:2]}")
-    if rows.shape[0] == 0 or rows.shape[1] != len(header):
-        raise ValueError("chain CSV is empty or has inconsistent columns")
+    if not any(line.strip() for line in lines):
+        raise ValueError("chain CSV has no rows")
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if rows.shape[1] != len(header):
+        raise ValueError("chain CSV has inconsistent columns")
     return (header[2:], rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2:])
 
 

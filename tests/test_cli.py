@@ -1,11 +1,16 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from rotgp.cli import main
+from rotgp.cli import _load_locations, _read_predictions, main
 from rotgp.data import load_csv
+from rotgp.mcmc import load_chain_csv
 
 TRAIN_N, TEST_N = 40, 20
 
@@ -156,6 +161,18 @@ class TestFit:
             "train_csv": str(tmp_path / "missing.csv"), "model": "ard",
             "out_dir": str(tmp_path / "o")})
         assert main(["fit", "--config", cfg]) == 2
+
+    def test_non_finite_train_cell_exits_2(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "train.csv").read_text().splitlines()
+        lines[3] = "0.1,nan,0.2,1.0"
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines) + "\n")
+        cfg = write_json(tmp_path / "f.json", {
+            "train_csv": str(train), "model": "ard",
+            "chain": {"n_iters": 20, "burn_in": 10},
+            "out_dir": str(tmp_path / "fit")})
+        assert main(["fit", "--config", cfg]) == 2
+        assert "line 4: non-finite value" in capsys.readouterr().err
 
     def test_sampled_noise_flows_through_predict(self, dataset_dir, tmp_path):
         fit_out = tmp_path / "fitnoise"
@@ -452,6 +469,98 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == 2
 
 
+    def test_output_in_model_order_and_reproducible(self, tmp_path, capsys):
+        out = tmp_path / "exporder"
+        models = ["spd", "ard", "rotational"]
+        cfg = write_json(tmp_path / "xo.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 30, "n_test": 15, "models": models,
+            "chain": {"n_iters": 200, "burn_in": 100, "thin": 4}})
+        outputs = []
+        for _ in range(2):
+            assert main(["experiment", "--config", cfg]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].out.splitlines()
+        assert lines[0].startswith("wrote train.csv")
+        assert lines[-1].startswith("experiment d2 complete")
+        assert len(lines) == 2 + 3 * len(models)
+        for i, model in enumerate(models):
+            fit, wrote, scored = lines[1 + 3 * i:4 + 3 * i]
+            assert fit.startswith(f"fit {model}: ")
+            assert wrote == (f"wrote predictions.csv (15 points) to "
+                             f"{out / model}")
+            assert scored.startswith(f"d2-{model}: ")
+
+    def test_first_failing_model_names_the_stage(self, tmp_path):
+        # The ARD fit fails at its invalid start while the later SPD fit,
+        # which does not use the length-scale prior, succeeds.
+        out = tmp_path / "expfirst"
+        cfg = write_json(tmp_path / "xff.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 10, "n_test": 5, "models": ["ard", "spd"],
+            "priors": {"lengthscale_mean": [-0.5, 0.5, 0.5]},
+            "chain": {"n_iters": 100, "burn_in": 50}})
+        assert main(["experiment", "--config", cfg]) == 1
+        marker = json.loads((out / "failure.json").read_text())
+        assert marker["stage"] == "fit:ard"
+        assert (out / "spd" / "metrics.json").exists()
+        assert not (out / "comparison.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT,
+                                        signal.SIGKILL],
+                             ids=["SIGTERM", "SIGINT", "SIGKILL"])
+    def test_signal_leaves_no_worker_running(self, tmp_path, signum):
+        out = str(tmp_path / "expsignal")
+        models = ["rotational", "spd", "ard"]
+        cfg = write_json(tmp_path / "xs.json", {
+            "scenario": "d2", "seed": 9, "n_train": 30, "n_test": 10,
+            "models": models,
+            "chain": {"n_iters": 10_000_000, "burn_in": 100}})
+        # The launcher restores Python's SIGINT handler, which is not
+        # installed when the test runner itself ignores SIGINT.
+        launcher = ("import signal, sys; "
+                    "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                    "from rotgp.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", launcher, "experiment", "--config", cfg,
+             "--out", out], stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(os.path.isdir(os.path.join(out, m)) for m in models):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            assert len(_pids_with_arg(out)) == 1 + len(models)
+            proc.send_signal(signum)
+            proc.wait(timeout=10)
+            if signum == signal.SIGTERM:  # an exit, so the pool's cleanup ran
+                assert proc.returncode == 128 + signum
+            deadline = time.monotonic() + 5.0
+            while _pids_with_arg(out) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _pids_with_arg(out) == []
+        finally:
+            proc.kill()
+            for pid in _pids_with_arg(out):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _pids_with_arg(arg: str) -> list[int]:
+    """Live processes whose command line contains ``arg``."""
+    pids = []
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{name}/cmdline", "rb") as f:
+                cmdline = f.read().split(b"\0")
+        except OSError:  # the process has exited
+            continue
+        if arg.encode() in cmdline:
+            pids.append(int(name))
+    return pids
+
+
 class TestSchemas:
     def test_shipped_schema_files_match_live(self):
         from rotgp.config import SCHEMAS
@@ -464,3 +573,17 @@ class TestSchemas:
     def test_seed_flag_applies_where_meaningful(self, tmp_path):
         assert main(["evaluate", "--config", "x.json",
                      "--seed", "3"]) == 2  # seed not applicable => config error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader, header", [
+    (load_chain_csv, "iter,log_post,l_x,l_y,l_z"),
+    (_read_predictions, "x,y,z,truth,mean,sd"),
+    (_load_locations, "x,y,z"),
+], ids=["chain", "predictions", "locations"])
+def test_header_only_file_rejected_without_warning(tmp_path, reader, header):
+    path = tmp_path / "empty.csv"
+    for body in ("", "\n", "\n  \n"):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError):
+            reader(str(path))

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotgp.data import (DataFormatError, SyntheticConfig, generate_synthetic,
                         holdout_planes, load_csv, sample_gp_outputs, save_csv,
@@ -112,12 +118,62 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_row_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,z,value\n0.0,0.0,0.0,1.0\n0.1,{cell},0.2,1.0\n")
+        with pytest.raises(DataFormatError, match="line 3: non-finite"):
+            load_csv(path)
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "d.csv"
         save_csv(path, Dataset(np.zeros((2, 3)), [1.0, 2.0]))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"x,y,z,value\n")
+
+
+# Property tests of the CSV reader: exact round trips, and the line number of
+# the first malformed row.
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_BAD_ROWS = {
+    "ragged": st.sampled_from(["1.0", "1.0,2.0", "1.0,2.0,3.0",
+                               "1.0,2.0,3.0,4.0,5.0", "1,2,3,4,5,6"]),
+    "non-numeric": st.sampled_from(["a,0,0,0", "0,1.0.0,0,0", "0,0,,0",
+                                    "0,0,0,0x10", "--1,0,0,0", "0,0,0,1e"]),
+    "non-finite": st.sampled_from(["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0",
+                                   "0,0,0,NaN", "1e999,0,0,0", "0,Infinity,0,0"]),
+}
+
+
+class TestLoadCsvProperties:
+    @_property
+    @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, 3), elements=_finite),
+        arrays(np.float64, n, elements=_finite))))
+    def test_save_load_round_trip_is_exact(self, data):
+        X, y = data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            save_csv(path, Dataset(X, y))
+            back = load_csv(path)
+        assert np.array_equal(back.X, X) and np.array_equal(back.y, y)
+
+    @_property
+    @given(st.lists(arrays(np.float64, 4, elements=_finite), max_size=8),
+           st.data(), st.sampled_from(sorted(_BAD_ROWS)))
+    def test_malformed_row_reports_its_line(self, good, data, kind):
+        k = data.draw(st.integers(0, len(good)), label="bad row index")
+        rows = [",".join(repr(float(v)) for v in row) for row in good]
+        rows.insert(k, data.draw(_BAD_ROWS[kind], label="bad row"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                f.write("x,y,z,value\n" + "\n".join(rows) + "\n")
+            with pytest.raises(DataFormatError, match=f": line {k + 2}: "):
+                load_csv(path)
 
 
 def grid_dataset():

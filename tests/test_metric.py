@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from rotgp.config import SCHEMAS, ConfigError, metric_params_from_dict
@@ -154,6 +157,65 @@ class TestPermutationSymmetry:
                                            rtol=1e-9)
                 np.testing.assert_allclose(s_perm.directions, s_ref.directions,
                                            atol=1e-7)
+
+
+# Property tests of eigen_summary over metrics of all three
+# parameterisations, and over the 24 equivalent states of a rotational one.
+_lengthscales = arrays(np.float64, 3, elements=st.floats(0.1, 2.0))
+_axis_angle = arrays(np.float64, 3, elements=st.floats(-3.0, 3.0))
+_metric_params = st.one_of(
+    st.builds(Ard, _lengthscales),
+    st.builds(Rotational, _lengthscales, _axis_angle),
+    st.builds(CholeskySpd, arrays(np.float64, 3, elements=st.floats(0.3, 3.0)),
+              arrays(np.float64, 3, elements=st.floats(-2.0, 2.0))),
+)
+# Signed permutation matrices with det +1: P diag(l) P^T permutes l, so the
+# state (l[perm], P R) gives the same metric as (l, R).
+_PROPER_SIGNED_PERMUTATIONS = [
+    (list(perm), np.diag(signs) @ np.eye(3)[list(perm)])
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+    if np.linalg.det(np.diag(signs) @ np.eye(3)[list(perm)]) > 0.0]
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestEigenSummaryProperties:
+    @_property
+    @given(_metric_params)
+    def test_eigenpairs_ranges_and_signs(self, params):
+        M = build_metric(params)
+        s = eigen_summary(M)
+        assert np.all(s.eigenvalues > 0.0)
+        assert np.all(np.diff(s.eigenvalues) <= 0.0)
+        assert np.array_equal(s.ranges, s.eigenvalues ** -0.5)
+        V = s.directions
+        assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-12
+        recon = (V * s.eigenvalues) @ V.T
+        assert np.abs(recon - M).max() <= 1e-12 * np.abs(M).max()
+        for i in range(3):
+            assert V[np.argmax(np.abs(V[:, i])), i] >= 0.0
+        assert 0.0 <= s.geodesic_deg <= 180.0
+
+    @_property
+    @given(_lengthscales, _axis_angle)
+    def test_invariant_under_equivalent_rotational_states(self, ls, a):
+        # Well-separated eigenvalues and no near-tie for the largest
+        # component of an eigenvector keep the directions well defined.
+        w = np.sort(ls ** -2.0)
+        assume(np.all(np.diff(w) > 0.05 * w[1:]))
+        ref = eigen_summary(build_metric(Rotational(ls, a)))
+        top2 = np.sort(np.abs(ref.directions), axis=0)[-2:]
+        assume(np.all(top2[1] - top2[0] > 1e-3))
+        R = exp_so3(a)
+        assert len(_PROPER_SIGNED_PERMUTATIONS) == 24
+        for perm, P in _PROPER_SIGNED_PERMUTATIONS:
+            a_eq = ScipyRotation.from_matrix(P @ R).as_rotvec()
+            s = eigen_summary(build_metric(Rotational(ls[perm], a_eq)))
+            np.testing.assert_allclose(s.eigenvalues, ref.eigenvalues,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(s.directions, ref.directions, atol=1e-9)
+            assert s.geodesic_deg == pytest.approx(ref.geodesic_deg, abs=1e-6)
 
 
 class TestMisalignmentAngles:
