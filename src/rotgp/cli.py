@@ -40,6 +40,7 @@ _FIT_SEED_OFFSET = {"rotational": 101, "spd": 102, "ard": 103}
 _PLANE_SEED_OFFSET = 7
 
 _PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>
+_STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
 
 _METRIC_COLUMNS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
                    "std_z", "n_test"]
@@ -199,12 +200,134 @@ def _model_from_summary(sdoc: dict):
     return model, sdoc.get("standardization")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (respects ``taskset``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _init_worker() -> None:
+    """Workers die with their parent (Linux) and on SIGTERM, and leave
+    SIGINT to the parent, whose cleanup then terminates them.
+
+    The parent-death signal also covers a parent killed by SIGKILL. Its
+    result is not checked: a worker that cannot set it still does its work.
+    """
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+        if os.getppid() != multiprocessing.parent_process().pid:
+            os._exit(1)  # the parent died before the signal was set
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _run_block(fn, items: list, conn) -> None:
+    """Worker body: ``fn`` over ``items`` up to the first error, sent back as
+    one message of ``(result, error)`` pairs; the error carries the worker's
+    traceback text as its cause once it reaches the parent."""
+    _init_worker()
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append((fn(item), None))
+        except Exception as exc:
+            outcomes.append((None, multiprocessing.pool.ExceptionWithTraceback(
+                exc, exc.__traceback__)))
+            break
+    conn.send(outcomes)
+    conn.close()
+
+
+def _fork_map(fn, items: list, processes: int) -> list:
+    """``[fn(item) for item in items]``, computed in up to ``processes``
+    forked workers, each given one contiguous block of ``items``. Results
+    come back in input order, and an error is that of the first failing
+    item, as in the loop.
+
+    With one process, or inside a worker (which is daemonic and may not
+    start children), ``fn`` runs in this process. Fork, not spawn: workers
+    start without re-importing numpy and scipy (about 0.7 s each), and
+    ``fn`` and the blocks reach them through the fork, unpickled. The parent
+    runs no threads of its own when it forks. Each worker returns its block
+    over its own pipe, so no large message waits in a shared task queue:
+    ``multiprocessing.Pool`` could hang in ``terminate`` while its task
+    thread was blocked sending a chunk into a full pipe.
+    """
+    processes = min(processes, len(items))
+    if processes == 1 or multiprocessing.current_process().daemon:
+        return [fn(item) for item in items]
+    sys.stdout.flush()  # a forked worker would otherwise repeat buffered text
+    sys.stderr.flush()
+    context = multiprocessing.get_context("fork")
+    bounds = [len(items) * k // processes for k in range(processes + 1)]
+    workers = []
+    # Python's default SIGTERM action would skip the cleanup below, which
+    # terminates the workers; as SystemExit it runs.
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        # A handler that raises inside the fork's at-fork callbacks is
+        # ignored, so the stop signals wait until the workers have started.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(target=_run_block,
+                                       args=(fn, items[lo:hi], writer),
+                                       daemon=True)
+                proc.start()
+                writer.close()
+                workers.append((proc, reader))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = []
+        for _, reader in workers:
+            try:
+                outcomes += reader.recv()
+            except EOFError:
+                raise RuntimeError(
+                    "a worker process exited without its results") from None
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, reader in workers:
+            proc.join()
+            reader.close()
+        signal.signal(signal.SIGTERM, previous)
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
+
+
+def _sample_predictive(spec, profile, fixed_noise_var, train, X_test, row):
+    """One stored sample's predictive mean and variance, and its noise."""
+    params, noise_var = spec.from_row(row, fixed_noise_var)
+    res = predict(GPModel(profile=profile, params=params, noise_var=noise_var),
+                  train, X_test)
+    return res.mean, res.var, noise_var
+
+
 def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
     """Average the closed-form predictive over stored posterior samples.
 
-    The variance is floored at the mean of the samples' noise variances, a
-    true lower bound because each sample's predictive variance is at least
-    its own noise variance; the floor absorbs round-off as in ``predict``.
+    The samples are predicted in up to one worker process per usable CPU and
+    summed here in chain order, so the result does not depend on the number
+    of workers. The variance is floored at the mean of the samples' noise
+    variances, a true lower bound because each sample's predictive variance
+    is at least its own noise variance; the floor absorbs round-off as in
+    ``predict``.
     """
     try:
         names, _, _, states = load_chain_csv(chain_csv)
@@ -214,18 +337,15 @@ def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
     if spec is None:
         raise DataFormatError(
             f"{chain_csv}: chain columns {','.join(names)} match no model")
-    mean_acc = None
-    second_acc = None
+    sample = functools.partial(_sample_predictive, spec, profile,
+                               fixed_noise_var, train, X_test)
+    per_sample = _fork_map(sample, list(states), _usable_cpus())
+    mean_acc = np.zeros_like(per_sample[0][0])
+    second_acc = np.zeros_like(mean_acc)
     noise_acc = 0.0
-    for row in states:
-        params, noise_var = spec.from_row(row, fixed_noise_var)
-        res = predict(GPModel(profile=profile, params=params,
-                              noise_var=noise_var), train, X_test)
-        if mean_acc is None:
-            mean_acc = np.zeros_like(res.mean)
-            second_acc = np.zeros_like(res.mean)
-        mean_acc += res.mean
-        second_acc += res.var + res.mean ** 2
+    for mean, var, noise_var in per_sample:
+        mean_acc += mean
+        second_acc += var + mean ** 2
         noise_acc += noise_var
     n = states.shape[0]
     mean = mean_acc / n
@@ -352,6 +472,15 @@ class _PipelineResult(NamedTuple):
     stage: str
     error: Exception | None
 
+    def __reduce__(self):
+        # sent from a worker, the error keeps its traceback text as its cause
+        error = self.error
+        if error is not None:
+            error = multiprocessing.pool.ExceptionWithTraceback(
+                error, error.__traceback__)
+        return _PipelineResult, (self.row, self.stdout, self.stderr,
+                                 self.stage, error)
+
 
 def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
     """Fit, predict and evaluate one model, capturing what the stages print."""
@@ -386,53 +515,9 @@ def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
                 metrics = json.load(f)
             row = {"model": model, **{k: metrics[k] for k in _METRIC_COLUMNS}}
         except Exception as exc:
-            # pickles as exc with the worker's traceback text as its cause
-            error = multiprocessing.pool.ExceptionWithTraceback(
-                exc, exc.__traceback__)
+            error = exc
     return _PipelineResult(row, stdout.getvalue(), stderr.getvalue(), stage,
                            error)
-
-
-def _init_worker() -> None:
-    """Workers die with their parent (Linux) and on SIGTERM, and leave
-    SIGINT to the parent, whose pool exit then terminates them.
-
-    The parent-death signal also covers a parent killed by SIGKILL. Its
-    result is not checked: a worker that cannot set it still does its work.
-    """
-    if sys.platform.startswith("linux"):
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
-
-
-def _run_model_pipelines(out: str, scenario: str,
-                         fit_docs: list[dict]) -> list[_PipelineResult]:
-    """One forked worker per model (at most three), results in model order.
-
-    Fork, not spawn: workers start without re-importing numpy and scipy
-    (about 0.7 s each). The parent runs no threads of its own when it forks;
-    the pool starts its handler threads after its workers.
-    """
-    sys.stdout.flush()  # a forked worker would otherwise repeat buffered text
-    sys.stderr.flush()
-    pipeline = functools.partial(_model_pipeline, out, scenario)
-    context = multiprocessing.get_context("fork")
-    # Python's default SIGTERM action would skip the pool's exit, which
-    # terminates the workers; as SystemExit it runs.
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        with context.Pool(len(fit_docs), initializer=_init_worker) as pool:
-            return pool.map(pipeline, fit_docs)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 def cmd_experiment(doc: dict) -> int:
@@ -474,8 +559,10 @@ def cmd_experiment(doc: dict) -> int:
             cfg.validate("fit", fit_doc)
             fit_docs.append(fit_doc)
 
+        # one worker per model (at most three), not capped at the CPU count
+        pipeline = functools.partial(_model_pipeline, out, scenario)
         rows = []
-        for result in _run_model_pipelines(out, scenario, fit_docs):
+        for result in _fork_map(pipeline, fit_docs, len(fit_docs)):
             sys.stderr.write(result.stderr)
             sys.stdout.write(result.stdout)
             if result.error is not None:

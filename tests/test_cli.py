@@ -1,4 +1,5 @@
 import json
+import multiprocessing.context
 import os
 import signal
 import subprocess
@@ -307,13 +308,13 @@ class TestPredict:
         assert np.any(mix.var == floor)  # round-off would have been kept
 
     @staticmethod
-    def _mixture_on_bad_chain(dataset_dir, tmp_path, text):
-        """Exit code of a mixture predict over a chain file holding ``text``,
-        which must leave no predictions file behind."""
-        chain_csv = tmp_path / "chain.csv"
+    def _run_mixture(dataset_dir, tmp_path, text, name="predbad"):
+        """Exit code and output directory of a mixture predict over a chain
+        file holding ``text``."""
+        chain_csv = tmp_path / f"{name}.chain.csv"
         chain_csv.write_text(text)
-        out = tmp_path / "predbad"
-        cfg = write_json(tmp_path / "pb.json", {
+        out = tmp_path / name
+        cfg = write_json(tmp_path / f"{name}.json", {
             "train_csv": str(dataset_dir / "train.csv"),
             "test_csv": str(dataset_dir / "test.csv"),
             "model_params": {"model": "ard", "profile": {"type": "se"},
@@ -322,6 +323,13 @@ class TestPredict:
             "out_dir": str(out)})
         rc = main(["predict", "--config", cfg,
                    "--posterior-mean-of-predictions"])
+        return rc, out
+
+    @classmethod
+    def _mixture_on_bad_chain(cls, dataset_dir, tmp_path, text):
+        """Exit code of a mixture predict over a chain file holding ``text``,
+        which must leave no predictions file behind."""
+        rc, out = cls._run_mixture(dataset_dir, tmp_path, text)
         assert not (out / "predictions.csv").exists()
         return rc
 
@@ -344,6 +352,97 @@ class TestPredict:
         # A malformed chain file is a data format error (exit 2), not a
         # computation failure (exit 1).
         assert self._mixture_on_bad_chain(dataset_dir, tmp_path, text) == 2
+
+    @staticmethod
+    def _workers_started(monkeypatch, cpus):
+        """Pretend this process may run on ``cpus`` CPUs; the returned list
+        collects every worker process started from then on."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        started = []
+        real_start = multiprocessing.context.ForkProcess.start
+
+        def start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+        return started
+
+    def test_mixture_pool_matches_in_process(self, dataset_dir, tmp_path,
+                                             monkeypatch):
+        # The samples are summed in chain order whatever the number of
+        # workers, so the bytes of predictions.csv do not depend on it.
+        rows = [(0.5, 0.3, 0.9, 0.01), (0.7, 0.4, 1.1, 0.002),
+                (0.3, 0.6, 0.8, 0.03), (0.9, 0.2, 0.5, 0.004),
+                (0.4, 0.5, 1.3, 0.02)]
+        text = "iter,log_post,l_x,l_y,l_z,noise_var\n" + "".join(
+            f"{i},-1.0,{','.join(map(repr, r))}\n"
+            for i, r in enumerate(rows, start=1))
+        outputs = {}
+        for cpus in (1, 2):
+            started = self._workers_started(monkeypatch, cpus)
+            rc, out = self._run_mixture(dataset_dir, tmp_path, text,
+                                        f"pool{cpus}")
+            assert rc == 0
+            assert len(started) == (0 if cpus == 1 else 2)
+            outputs[cpus] = (out / "predictions.csv").read_bytes()
+        assert outputs[1] == outputs[2]
+
+        # a one-row chain runs in this process whatever the CPU count
+        started = self._workers_started(monkeypatch, 2)
+        one_row = "".join(text.splitlines(keepends=True)[:2])
+        rc, _ = self._run_mixture(dataset_dir, tmp_path, one_row, "onerow")
+        assert rc == 0 and started == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_mixture_reports_first_failing_sample(self, dataset_dir, tmp_path,
+                                                  monkeypatch, capsys, cpus):
+        # Row 2 has an invalid length-scale and row 3 a negative noise
+        # variance: as in a one-by-one loop, row 2's error is reported.
+        self._workers_started(monkeypatch, cpus)
+        rc, out = self._run_mixture(
+            dataset_dir, tmp_path,
+            "iter,log_post,l_x,l_y,l_z,noise_var\n"
+            "1,-1.0,0.5,0.3,0.9,0.01\n"
+            "2,-1.0,-0.5,0.3,0.9,0.01\n"
+            "3,-1.0,0.5,0.3,0.9,-1.0\n"
+            "4,-1.0,0.5,0.3,0.9,0.01\n")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ARD length-scales must be finite and positive\n")
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="one CPU starts no worker")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT,
+                                        signal.SIGKILL],
+                             ids=["SIGTERM", "SIGINT", "SIGKILL"])
+    def test_mixture_signal_leaves_no_worker_running(self, tmp_path, signum):
+        data = tmp_path / "data"
+        assert main(["generate", "--config", write_json(tmp_path / "g.json", {
+            "n_train": 400, "n_test": 20, "seed": 3,
+            "generator": {"model": "ard", "profile": {"type": "se"},
+                          "lengthscales": [0.4, 0.3, 0.5], "noise_sd": 0.1},
+            "out_dir": str(data)})]) == 0
+        n_rows = 20_000  # far more work than the test waits for
+        chain_csv = tmp_path / "chain.csv"
+        chain_csv.write_text("iter,log_post,l_x,l_y,l_z\n" + "".join(
+            f"{i},-1.0,0.4,0.3,0.5\n" for i in range(1, n_rows + 1)))
+        out = str(tmp_path / "predsignal")
+        cfg = write_json(tmp_path / "p.json", {
+            "train_csv": str(data / "train.csv"),
+            "test_csv": str(data / "test.csv"),
+            "model_params": {"model": "ard", "profile": {"type": "se"},
+                             "lengthscales": [0.4, 0.3, 0.5], "noise_sd": 0.1},
+            "chain_csv": str(chain_csv)})
+        processes = 1 + min(len(os.sched_getaffinity(0)), n_rows)
+        _signal_then_check(
+            ["predict", "--config", cfg, "--out", out,
+             "--posterior-mean-of-predictions"], out, signum,
+            ready=lambda: len(_pids_with_arg(out)) == processes,
+            processes=processes)
 
     def test_standardize_round_trip(self, tmp_path):
         # Outputs far from zero mean: fit standardizes internally, predict
@@ -518,33 +617,43 @@ class TestExperiment:
             "scenario": "d2", "seed": 9, "n_train": 30, "n_test": 10,
             "models": models,
             "chain": {"n_iters": 10_000_000, "burn_in": 100}})
-        # The launcher restores Python's SIGINT handler, which is not
-        # installed when the test runner itself ignores SIGINT.
-        launcher = ("import signal, sys; "
-                    "signal.signal(signal.SIGINT, signal.default_int_handler); "
-                    "from rotgp.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", launcher, "experiment", "--config", cfg,
-             "--out", out], stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        try:
-            deadline = time.monotonic() + 60.0
-            while not all(os.path.isdir(os.path.join(out, m)) for m in models):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            assert len(_pids_with_arg(out)) == 1 + len(models)
-            proc.send_signal(signum)
-            proc.wait(timeout=10)
-            if signum == signal.SIGTERM:  # an exit, so the pool's cleanup ran
-                assert proc.returncode == 128 + signum
-            deadline = time.monotonic() + 5.0
-            while _pids_with_arg(out) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert _pids_with_arg(out) == []
-        finally:
-            proc.kill()
-            for pid in _pids_with_arg(out):
-                os.kill(pid, signal.SIGKILL)
+        _signal_then_check(
+            ["experiment", "--config", cfg, "--out", out], out, signum,
+            ready=lambda: all(os.path.isdir(os.path.join(out, m))
+                              for m in models),
+            processes=1 + len(models))
+
+
+def _signal_then_check(args, out, signum, ready, processes):
+    """Start ``rotgp args`` (whose ``--out`` is ``out``), wait for ``ready()``
+    and for ``processes`` processes naming ``out``, then send ``signum``: no
+    such process may remain 5 s later, and SIGTERM must exit 143."""
+    # The launcher restores Python's SIGINT handler, which is not
+    # installed when the test runner itself ignores SIGINT.
+    launcher = ("import signal, sys; "
+                "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                "from rotgp.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", launcher, *args],
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not ready():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert len(_pids_with_arg(out)) == processes
+        proc.send_signal(signum)
+        proc.wait(timeout=10)
+        if signum == signal.SIGTERM:  # an exit, so the workers' cleanup ran
+            assert proc.returncode == 128 + signum
+        deadline = time.monotonic() + 5.0
+        while _pids_with_arg(out) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _pids_with_arg(out) == []
+    finally:
+        proc.kill()
+        for pid in _pids_with_arg(out):
+            os.kill(pid, signal.SIGKILL)
 
 
 def _pids_with_arg(arg: str) -> list[int]:

@@ -224,6 +224,26 @@ class TestRunChain:
         lo, hi = ACCEPT_RATE_WINDOW
         assert lo < chain.acceptance_rates()["noise"] < hi
 
+    @pytest.mark.parametrize("block_updates", [False, True],
+                             ids=["joint", "blocks"])
+    def test_default_axis_angle_proposal_in_acceptance_window(
+            self, d1_desk_train, block_updates):
+        # A standalone rotational fit with the default steps must mix once
+        # the chain reaches the narrow d1 posterior at n=300, which takes a
+        # few thousand iterations: at an axis-angle step of 0.08 both rates
+        # fall under the window (0.037 joint, 0.045 axis-angle block).
+        chain = run_chain(ChainConfig(n_iters=3000, burn_in=1000, thin=5,
+                                      seed=1, block_updates=block_updates),
+                          d1_desk_train,
+                          GPModel(SquaredExponential(),
+                                  SPECS["rotational"].prior_mean(Priors()),
+                                  0.0025),
+                          Priors(), ProposalScales())
+        rate = chain.acceptance_rates()[
+            "axis_angle" if block_updates else "joint"]
+        lo, hi = ACCEPT_RATE_WINDOW
+        assert lo < rate < hi
+
     def test_csv_round_trip(self, tmp_path):
         cfg = ChainConfig(n_iters=200, burn_in=50, seed=9, thin=2)
         chain = run_chain(cfg, tiny_data(), template("spd"), Priors(),
