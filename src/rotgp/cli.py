@@ -25,14 +25,14 @@ import numpy as np
 
 from . import config as cfg
 from .config import ConfigError
-from .data import (DataFormatError, SyntheticConfig, generate_synthetic,
-                   holdout_planes, load_csv, sample_gp_outputs, save_csv,
-                   standardize)
+from .data import (SyntheticConfig, generate_synthetic, holdout_planes,
+                   load_csv, sample_gp_outputs, save_csv, standardize)
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
 from .mcmc import RNG_NAME, ChainInitError, load_chain_csv, run_chain, summarize
 from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
 from .metrics import append_ledger_row, compute_metrics, write_metrics_json
+from .table import DataFormatError, read_table, write_table
 
 # Stage seeds inside an experiment are derived from the base seed with these
 # fixed offsets and recorded in the resolved config.
@@ -53,39 +53,17 @@ def _ensure_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from None
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_predictions(path, X, truth, mean, sd) -> None:
-    columns = ["x", "y", "z"] + (["truth"] if truth is not None else [])
-    columns += ["mean", "sd"]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        for i in range(len(mean)):
-            cells = [_fmt(v) for v in X[i]]
-            if truth is not None:
-                cells.append(_fmt(truth[i]))
-            cells += [_fmt(mean[i]), _fmt(sd[i])]
-            f.write(",".join(cells) + "\n")
+    cols = {"x": X[:, 0], "y": X[:, 1], "z": X[:, 2], "truth": truth,
+            "mean": mean, "sd": sd}
+    cols = {name: col for name, col in cols.items() if col is not None}
+    write_table(path, list(cols),
+                np.column_stack(list(cols.values())).tolist())
 
 
-def _read_rows(f) -> np.ndarray:
-    """The numeric CSV rows left in ``f``; empty when there are none, without
-    numpy's no-data warning."""
-    lines = f.read().splitlines()
-    if not any(line.strip() for line in lines):
-        return np.empty((0, 0))
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
-
-
-def _read_predictions(path):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        rows = _read_rows(f)
-    if rows.size == 0 or rows.shape[1] != len(header):
-        raise DataFormatError(f"{path}: empty or inconsistent predictions file")
-    cols = {name: rows[:, j] for j, name in enumerate(header)}
+def _read_predictions(path) -> dict:
+    header, rows = read_table(path)
+    cols = dict(zip(header, rows.T))
     for required in ("x", "y", "z", "mean", "sd"):
         if required not in cols:
             raise DataFormatError(f"{path}: missing column {required!r}")
@@ -94,17 +72,10 @@ def _read_predictions(path):
 
 def _load_locations(path):
     """Read test locations; the value column (truth) is optional here."""
-    with open(path, encoding="utf-8") as f:
-        header = [c.strip() for c in f.readline().strip().split(",")]
-        if header == ["x", "y", "z", "value"]:
-            d = load_csv(path)
-            return d.X, d.y
-        if header == ["x", "y", "z"]:
-            rows = _read_rows(f)
-            if rows.size == 0 or rows.shape[1] != 3:
-                raise DataFormatError(f"{path}: empty or malformed location file")
-            return rows, None
-    raise DataFormatError(f"{path}: expected header x,y,z[,value]")
+    header, rows = read_table(path)
+    if header not in (["x", "y", "z"], ["x", "y", "z", "value"]):
+        raise DataFormatError(f"{path}: line 1: expected header x,y,z[,value]")
+    return rows[:, :3], (rows[:, 3] if rows.shape[1] == 4 else None)
 
 
 def cmd_generate(doc: dict) -> int:
@@ -329,10 +300,7 @@ def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
     is at least its own noise variance; the floor absorbs round-off as in
     ``predict``.
     """
-    try:
-        names, _, _, states = load_chain_csv(chain_csv)
-    except ValueError as exc:
-        raise DataFormatError(f"{chain_csv}: {exc}") from None
+    names, _, _, states = load_chain_csv(chain_csv)
     spec = spec_for_columns(names)
     if spec is None:
         raise DataFormatError(
@@ -420,14 +388,10 @@ def cmd_evaluate(doc: dict) -> int:
 
 
 def _write_comparison(out: str, scenario: str, rows: list[dict]) -> None:
-    with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8",
-              newline="\n") as f:
-        f.write(",".join(["model"] + _METRIC_COLUMNS) + "\n")
-        for row in rows:
-            cells = [row["model"]]
-            cells += [_fmt(row[c]) if c != "n_test" else str(row[c])
-                      for c in _METRIC_COLUMNS]
-            f.write(",".join(cells) + "\n")
+    write_table(os.path.join(out, "comparison.csv"),
+                ["model"] + _METRIC_COLUMNS,
+                [[row["model"]] + [row[c] for c in _METRIC_COLUMNS]
+                 for row in rows])
     cfg.dump_json(os.path.join(out, "comparison.json"),
                   {"scenario": scenario, "rows": rows})
 
@@ -523,7 +487,6 @@ def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
 def cmd_experiment(doc: dict) -> int:
     """Generate, then fit -> predict -> evaluate every model in parallel
     worker processes; files and printed lines match a one-by-one run."""
-    doc = cfg.merge(cfg.EXPERIMENT_PRESETS[doc["scenario"]], doc)
     out = doc["out_dir"]
     _ensure_dir(out)
     scenario = doc["scenario"]
@@ -619,12 +582,10 @@ def _write_per_plane_table(doc: dict, planes: list[float]) -> None:
             row[model] = float(np.mean(np.abs(cols["truth"][mask]
                                               - cols["mean"][mask])))
         rows.append(row)
-    with open(os.path.join(out, "per_plane_mae.csv"), "w", encoding="utf-8",
-              newline="\n") as f:
-        f.write(",".join(["plane"] + list(doc["models"])) + "\n")
-        for row in rows:
-            f.write(",".join([_fmt(row["plane"])]
-                             + [_fmt(row[m]) for m in doc["models"]]) + "\n")
+    write_table(os.path.join(out, "per_plane_mae.csv"),
+                ["plane"] + list(doc["models"]),
+                [[row["plane"]] + [row[m] for m in doc["models"]]
+                 for row in rows])
     cfg.dump_json(os.path.join(out, "per_plane_mae.json"),
                   {"planes": rows, "models": list(doc["models"])})
 
@@ -668,8 +629,6 @@ def _resolve(command: str, args) -> dict:
     if command == "predict" and getattr(args, "posterior_mean_of_predictions",
                                         False):
         doc["posterior_mean_of_predictions"] = True
-    if command == "fit":
-        doc = cfg.merge(cfg.FIT_DEFAULTS, doc)
     cfg.validate(command, doc)
     return doc
 

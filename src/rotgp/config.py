@@ -42,7 +42,7 @@ _MODEL_SPEC = {
         "axis_angle": _ARRAY3,
         "diag": _ARRAY3,
         "offdiag": _ARRAY3,
-        "noise_sd": {"type": "number", "minimum": 0},
+        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["model", "profile", "noise_sd"],
     "additionalProperties": False,
@@ -111,7 +111,7 @@ FIT_SCHEMA = {
         "train_csv": {"type": "string"},
         "model": {"enum": ["ard", "rotational", "spd"]},
         "profile": _PROFILE,
-        "noise_sd": {"type": "number", "minimum": 0},
+        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
         "standardize": {"type": "boolean"},
         "priors": _PRIORS,
         "proposal_scales": _SCALES,
@@ -170,7 +170,7 @@ EXPERIMENT_SCHEMA = {
         "n_test": {"type": "integer", "minimum": 1},
         "cube_half_width": {"type": "number", "exclusiveMinimum": 0},
         "generator": _MODEL_SPEC,
-        "noise_sd": {"type": "number", "minimum": 0},
+        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
         "standardize": {"type": "boolean"},
         "priors": _PRIORS,
         "proposal_scales": _SCALES,
@@ -353,12 +353,6 @@ def profile_from_dict(doc: dict):
     return Matern(nu=doc["nu"])
 
 
-def profile_to_dict(profile) -> dict:
-    if isinstance(profile, SquaredExponential):
-        return {"type": "se"}
-    return {"type": "matern", "nu": profile.nu}
-
-
 def metric_params_from_dict(doc: dict) -> MetricParams:
     kind = doc.get("model")
     if kind not in SPECS:
@@ -412,13 +406,11 @@ def scales_to_dict(scales: ProposalScales) -> dict:
     }
 
 
-def chain_config_from_dict(doc: dict, seed: int | None = None) -> ChainConfig:
+def chain_config_from_dict(doc: dict) -> ChainConfig:
     doc = dict(doc)
     rng = doc.pop("rng", None)
     if rng is not None and rng != "pcg64":
         raise ConfigError(f"unsupported rng {rng!r}; this build uses pcg64")
-    if seed is not None:
-        doc["seed"] = seed
     try:
         return ChainConfig(**doc)
     except (TypeError, ValueError) as exc:

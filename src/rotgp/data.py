@@ -7,8 +7,6 @@ outputs under the generator. Generation is single-threaded and deterministic
 given the seed.
 """
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +15,10 @@ from .gp import Dataset, GPModel
 from .kernels import gram
 from .metric import build_metric
 from .mcmc import RNG_NAME
+from .table import DataFormatError, read_table, write_table
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-class DataFormatError(ValueError):
-    """Malformed dataset file; message carries the offending line number."""
+_COLUMNS = ["x", "y", "z", "value"]
 
 
 @dataclass
@@ -92,42 +88,17 @@ def generate_synthetic(cfg: SyntheticConfig) -> SplitDataset:
 
 
 def save_csv(path, dataset: Dataset) -> None:
-    """Write `x,y,z,value` rows with shortest round-trip float formatting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("x,y,z,value\n")
-        for row, v in zip(dataset.X, dataset.y):
-            f.write(",".join(repr(float(c)) for c in row)
-                    + f",{float(v)!r}\n")
+    """Write `x,y,z,value` rows."""
+    write_table(path, _COLUMNS,
+                np.column_stack([dataset.X, dataset.y]).tolist())
 
 
 def load_csv(path) -> Dataset:
     """Read an `x,y,z,value` CSV; malformed rows fail with their line number."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: file is empty")
-        if [c.strip() for c in header] != ["x", "y", "z", "value"]:
-            raise DataFormatError(f"{path}: line 1: expected header x,y,z,value")
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 4:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected 4 columns, got {len(cells)}")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: non-numeric value") from None
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    arr = np.asarray(rows)
-    return Dataset(arr[:, :3], arr[:, 3])
+    header, rows = read_table(path)
+    if header != _COLUMNS:
+        raise DataFormatError(f"{path}: line 1: expected header x,y,z,value")
+    return Dataset(rows[:, :3], rows[:, 3])
 
 
 def holdout_planes(dataset: Dataset, axis: str, test_values, exclude_values=(),

@@ -25,6 +25,7 @@ from .gp import Dataset, GPModel, log_marginal_likelihood
 from .kernels import GramFactorizationError
 from .metric import (SPECS, AnisotropySummary, MetricParams, build_metric,
                      eigen_summary, normal_logpdf)
+from .table import DataFormatError, read_table, write_table
 
 RNG_NAME = "pcg64"
 
@@ -177,13 +178,11 @@ class Chain:
         return self.spec.from_row(self.states[i], self.fixed_noise_var)
 
     def to_csv(self, path) -> None:
-        """Write `iter,log_post,<params>` rows; floats use shortest repr."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(",".join(["iter", "log_post"] + self.param_names) + "\n")
-            for it, lp, row in zip(self.iters, self.log_posts, self.states):
-                cells = [str(int(it)), repr(float(lp))]
-                cells += [repr(float(v)) for v in row]
-                f.write(",".join(cells) + "\n")
+        """Write `iter,log_post,<params>` rows."""
+        write_table(path, ["iter", "log_post"] + self.param_names,
+                    [[it, lp, *row] for it, lp, row in zip(
+                        self.iters.tolist(), self.log_posts.tolist(),
+                        self.states.tolist())])
 
 
 @dataclass
@@ -382,16 +381,10 @@ def summarize(chain: Chain) -> PosteriorSummary:
 
 def load_chain_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Read a chain CSV back as (param_names, iters, log_posts, states)."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        lines = f.read().splitlines()
+    header, rows = read_table(path)
     if header[:2] != ["iter", "log_post"]:
-        raise ValueError(f"not a chain CSV: header starts with {header[:2]}")
-    if not any(line.strip() for line in lines):
-        raise ValueError("chain CSV has no rows")
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-    if rows.shape[1] != len(header):
-        raise ValueError("chain CSV has inconsistent columns")
+        raise DataFormatError(
+            f"{path}: line 1: expected a header starting iter,log_post")
     return (header[2:], rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2:])
 
 

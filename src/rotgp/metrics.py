@@ -7,15 +7,14 @@ Gaussian intervals (|z| <= Phi^-1(0.84) and |z| <= Phi^-1(0.975)), while
 are inclusive.
 """
 
-import csv
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .gp import PredictiveResult
+from .table import write_table
 
 # Central-interval half-widths in sd units for nominal 68% and 95% mass.
 Z68 = float(ndtri(0.84))
@@ -77,11 +76,6 @@ def write_metrics_json(path, metrics: Metrics, label: str | None = None) -> None
 
 def append_ledger_row(path, metrics: Metrics, label: str) -> None:
     """Append one row to the run-ledger CSV, creating it with a header."""
-    new = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if new:
-            writer.writerow(["label"] + _FIELDS)
-        row = metrics.to_dict()
-        writer.writerow([label] + [repr(row[k]) if isinstance(row[k], float)
-                                   else row[k] for k in _FIELDS])
+    row = metrics.to_dict()
+    write_table(path, ["label"] + _FIELDS,
+                [[label] + [row[k] for k in _FIELDS]], append=True)

@@ -1,0 +1,66 @@
+"""The one CSV format rotgp reads and writes.
+
+A table is a header line of column names followed by comma-separated rows
+with LF line ends. Floats are written as ``repr(float(v))``, the shortest
+text that reads back to the same double, so a table round-trips exactly;
+other cells are written with ``str``. A table read back must have a header
+and at least one row, every row as wide as the header, and every cell a
+finite number.
+"""
+
+import csv
+import math
+
+import numpy as np
+
+
+class DataFormatError(ValueError):
+    """Malformed table file; the message names the path and line."""
+
+
+def _cell(value):
+    # float() first: numpy's float64 is a float whose repr names its type
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_table(path, header, rows, append=False) -> None:
+    """Write ``header`` and ``rows``; with ``append``, add the rows to the
+    end of ``path`` and write the header only if the file is new or empty."""
+    with open(path, "a" if append else "w", encoding="utf-8",
+              newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        if f.tell() == 0:
+            writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """The header cells and an (n_rows, n_columns) float array; a ragged,
+    non-numeric or non-finite row fails with its line number, and so does
+    a file without rows. Blank lines are skipped."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: file is empty")
+        header = [c.strip() for c in header]
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            if len(cells) != len(header):
+                raise DataFormatError(
+                    f"{path}: line {line}: expected {len(header)} columns, "
+                    f"got {len(cells)}")
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {line}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(f"{path}: line {line}: non-finite value")
+            rows.append(values)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return header, np.array(rows)

@@ -346,7 +346,8 @@ class TestPredict:
     @pytest.mark.parametrize("text", [
         "a,b,l_x,l_y,l_z\n1,-1.0,0.5,0.5,0.5\n",  # not a chain header
         "iter,log_post,l_x,l_y,l_z\n",  # header and no rows
-    ], ids=["bad-header", "no-rows"])
+        "iter,log_post,l_x,l_y,l_z\n1,nan,0.5,0.5,0.5\n",
+    ], ids=["bad-header", "no-rows", "nan-cell"])
     def test_mixture_rejects_malformed_chain_file(self, dataset_dir, tmp_path,
                                                   text):
         # A malformed chain file is a data format error (exit 2), not a
@@ -514,6 +515,20 @@ class TestEvaluate:
             "predictions_csv": str(path), "out_dir": str(tmp_path / "o")})
         assert main(["evaluate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_malformed_cell_exits_2(self, tmp_path, capsys, cell):
+        # a data format error (exit 2) that writes no metrics, whether the
+        # cell fails to parse or parses to a non-finite value
+        path = tmp_path / "preds.csv"
+        path.write_text("x,y,z,truth,mean,sd\n0.0,0.0,0.0,1.0,1.1,0.5\n"
+                        f"0.1,0.0,0.0,1.0,{cell},0.5\n")
+        out = tmp_path / "o"
+        cfg = write_json(tmp_path / "e.json", {
+            "predictions_csv": str(path), "out_dir": str(out)})
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert f"{path}: line 3: " in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
 
 class TestExperiment:
     def test_tiny_d2_scenario(self, tmp_path):
@@ -678,6 +693,28 @@ class TestSchemas:
             path = os.path.join(root, f"{name}.schema.json")
             with open(path, encoding="utf-8") as f:
                 assert json.load(f) == schema
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "experiment"])
+    def test_zero_noise_sd_rejected(self, dataset_dir, tmp_path, command):
+        # A noiseless model predicts sd = 0 at training points, which no
+        # metric can score.
+        short = {"n_iters": 20, "burn_in": 10}
+        doc = {
+            "fit": {"train_csv": str(dataset_dir / "train.csv"),
+                    "model": "ard", "noise_sd": 0, "chain": short},
+            "predict": {"train_csv": str(dataset_dir / "train.csv"),
+                        "test_csv": str(dataset_dir / "train.csv"),
+                        "model_params": {"model": "ard",
+                                         "profile": {"type": "se"},
+                                         "lengthscales": [0.5, 0.5, 0.5],
+                                         "noise_sd": 0}},
+            "experiment": {"scenario": "d2", "seed": 1, "n_train": 20,
+                           "n_test": 10, "noise_sd": 0, "chain": short},
+        }[command]
+        out = tmp_path / "o"
+        cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 2
+        assert not out.exists()
 
     def test_seed_flag_applies_where_meaningful(self, tmp_path):
         assert main(["evaluate", "--config", "x.json",

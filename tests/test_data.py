@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rotgp.cli import _load_locations, _read_predictions
 from rotgp.data import (DataFormatError, SyntheticConfig, generate_synthetic,
                         holdout_planes, load_csv, sample_gp_outputs, save_csv,
                         standardize)
 from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import SquaredExponential, cross_gram
+from rotgp.mcmc import load_chain_csv
 from rotgp.metric import Ard, Rotational, build_metric
 
 D1_MODEL = GPModel(SquaredExponential(),
@@ -161,19 +163,28 @@ class TestLoadCsvProperties:
             back = load_csv(path)
         assert np.array_equal(back.X, X) and np.array_equal(back.y, y)
 
+    # Every reader shares the row rules. The rows are checked before the
+    # header's column names, so a four-column header serves each reader.
+    @pytest.mark.parametrize("reader, header", [
+        (load_csv, "x,y,z,value"),
+        (load_chain_csv, "iter,log_post,l_x,l_y"),
+        (_read_predictions, "x,y,z,value"),
+        (_load_locations, "x,y,z,value"),
+    ], ids=["dataset", "chain", "predictions", "locations"])
     @_property
     @given(st.lists(arrays(np.float64, 4, elements=_finite), max_size=8),
            st.data(), st.sampled_from(sorted(_BAD_ROWS)))
-    def test_malformed_row_reports_its_line(self, good, data, kind):
+    def test_malformed_row_reports_its_line(self, reader, header, good, data,
+                                            kind):
         k = data.draw(st.integers(0, len(good)), label="bad row index")
         rows = [",".join(repr(float(v)) for v in row) for row in good]
         rows.insert(k, data.draw(_BAD_ROWS[kind], label="bad row"))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.csv")
             with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write("x,y,z,value\n" + "\n".join(rows) + "\n")
+                f.write(header + "\n" + "\n".join(rows) + "\n")
             with pytest.raises(DataFormatError, match=f": line {k + 2}: "):
-                load_csv(path)
+                reader(path)
 
 
 def grid_dataset():
