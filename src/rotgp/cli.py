@@ -31,8 +31,9 @@ from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
 from .mcmc import RNG_NAME, ChainInitError, load_chain_csv, run_chain, summarize
 from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
-from .metrics import append_ledger_row, compute_metrics, write_metrics_json
-from .table import DataFormatError, read_table, write_table
+from .metrics import (FIELDS, append_ledger_row, compute_metrics,
+                      write_metrics_json)
+from .table import DataFormatError, data_line, read_table, write_table
 
 # Stage seeds inside an experiment are derived from the base seed with these
 # fixed offsets and recorded in the resolved config.
@@ -41,9 +42,6 @@ _PLANE_SEED_OFFSET = 7
 
 _PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>
 _STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
-
-_METRIC_COLUMNS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
-                   "std_z", "n_test"]
 
 
 def _ensure_dir(path: str) -> None:
@@ -67,6 +65,10 @@ def _read_predictions(path) -> dict:
     for required in ("x", "y", "z", "mean", "sd"):
         if required not in cols:
             raise DataFormatError(f"{path}: missing column {required!r}")
+    bad = np.flatnonzero(cols["sd"] <= 0.0)
+    if bad.size:
+        raise DataFormatError(
+            f"{path}: line {data_line(path, int(bad[0]))}: sd must be positive")
     return cols
 
 
@@ -369,11 +371,11 @@ def cmd_predict(doc: dict) -> int:
 def cmd_evaluate(doc: dict) -> int:
     doc = dict(doc)
     out = doc["out_dir"]
-    _ensure_dir(out)
     cols = _read_predictions(doc["predictions_csv"])
     if "truth" not in cols:
         raise ConfigError(
             f"{doc['predictions_csv']}: predictions file has no truth column")
+    _ensure_dir(out)
     pred = PredictiveResult(mean=cols["mean"], var=cols["sd"] ** 2)
     metrics = compute_metrics(pred, cols["truth"])
     label = doc.get("label",
@@ -389,8 +391,8 @@ def cmd_evaluate(doc: dict) -> int:
 
 def _write_comparison(out: str, scenario: str, rows: list[dict]) -> None:
     write_table(os.path.join(out, "comparison.csv"),
-                ["model"] + _METRIC_COLUMNS,
-                [[row["model"]] + [row[c] for c in _METRIC_COLUMNS]
+                ["model"] + FIELDS,
+                [[row["model"]] + [row[c] for c in FIELDS]
                  for row in rows])
     cfg.dump_json(os.path.join(out, "comparison.json"),
                   {"scenario": scenario, "rows": rows})
@@ -477,7 +479,7 @@ def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
             with open(os.path.join(out, model, "metrics.json"),
                       encoding="utf-8") as f:
                 metrics = json.load(f)
-            row = {"model": model, **{k: metrics[k] for k in _METRIC_COLUMNS}}
+            row = {"model": model, **{k: metrics[k] for k in FIELDS}}
         except Exception as exc:
             error = exc
     return _PipelineResult(row, stdout.getvalue(), stderr.getvalue(), stage,

@@ -58,7 +58,9 @@ def sample_gp_outputs(model: GPModel, X, rng: np.random.Generator,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     gm = gram(model.profile, build_metric(model.params), X, model.noise_var)
     z = rng.standard_normal((X.shape[0], n_draws))
-    y = gm.chol_lower @ z
+    # not np.tril(chol_lower): a C-ordered copy's product differs in the
+    # last bits
+    y = gm.lower_factor() @ z
     return y[:, 0] if n_draws == 1 else y
 
 

@@ -8,7 +8,9 @@ metric distance ``psi = (x - x')^T M (x - x')``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf
+from scipy.spatial.distance import cdist
 
 # Adaptive jitter: start at 1e-12 * mean(diag), grow tenfold until the
 # Cholesky succeeds. Beyond this cap the configuration is treated as
@@ -47,16 +49,38 @@ KernelProfile = SquaredExponential | Matern
 
 @dataclass
 class GramMatrix:
-    """Kernel matrix over training inputs with noise and jitter applied.
+    """Kernel matrix over training inputs with noise and jitter applied,
+    held as its Cholesky factor so downstream solves never refactorize.
 
-    ``matrix`` already carries ``noise_var + jitter`` on the diagonal and
-    ``chol_lower`` is its lower Cholesky factor, so downstream solves never
-    refactorize.
+    Only the lower triangle of ``chol_lower`` is the factor; its strict upper
+    triangle still holds the Gram's off-diagonal entries, which
+    ``cho_solve``, ``solve_triangular`` and ``np.diag`` never read.
+    ``diagonal`` is the Gram's diagonal, ``1 + noise_var + jitter``.
     """
 
-    matrix: np.ndarray
     jitter: float
     chol_lower: np.ndarray
+    diagonal: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full Gram, rebuilt from ``chol_lower``'s strict upper triangle
+        and ``diagonal``."""
+        K = np.triu(self.chol_lower, 1)
+        K += K.T
+        K[np.diag_indices_from(K)] = self.diagonal
+        return K
+
+    def lower_factor(self) -> np.ndarray:
+        """Zero ``chol_lower``'s strict upper triangle in place and return it.
+
+        The Gram entries kept there are lost, so ``matrix`` must not be read
+        afterwards. Column by column, so no n x n temporary is formed.
+        """
+        C = self.chol_lower
+        for j in range(1, C.shape[0]):
+            C[:j, j] = 0.0
+        return C
 
 
 def radial_profile(profile: KernelProfile, psi, out=None):
@@ -94,20 +118,28 @@ def radial_profile(profile: KernelProfile, psi, out=None):
 
 
 def _pairwise_sq_dist(M: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # psi_ij = ||L^T (a_i - b_j)||^2 with M = L L^T, summed one whitened
-    # coordinate at a time: each difference is exact, so coincident points
-    # give psi = 0 and psi >= 0, and no (na, nb, 3) temporary is formed.
+    # psi_ij = ||L^T (a_i - b_j)||^2 with M = L L^T. cdist sums the squared
+    # whitened coordinate differences in coordinate order: each difference is
+    # exact, so coincident points give psi = 0, psi >= 0, and a Gram's psi is
+    # exactly symmetric.
     L = np.linalg.cholesky(M)
     Wa = A @ L
-    Wb = Wa if B is A else B @ L
-    psi = np.subtract.outer(Wa[:, 0], Wb[:, 0])
-    np.multiply(psi, psi, out=psi)
-    d = np.empty_like(psi)
-    for k in (1, 2):
-        np.subtract.outer(Wa[:, k], Wb[:, k], out=d)
-        np.multiply(d, d, out=d)
-        psi += d
-    return psi
+    return cdist(Wa, Wa if B is A else B @ L, "sqeuclidean")
+
+
+def cholesky(K: np.ndarray) -> np.ndarray:
+    """Factor the symmetric C-ordered ``K`` in place and return the factor.
+
+    The result is ``K.T``: its lower triangle is the lower Cholesky factor,
+    written over ``K``'s upper triangle, and its strict upper triangle is
+    ``K``'s strict lower triangle, left as it was. Raises ``LinAlgError``
+    when ``K`` is not positive definite; the factor triangle is then partly
+    overwritten.
+    """
+    C, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError(f"dpotrf failed with info={info}")
+    return C
 
 
 def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
@@ -132,8 +164,9 @@ def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
     jitter = 0.0
     while True:
         try:
-            C = cholesky(K, lower=True, check_finite=False)
-            return GramMatrix(matrix=K, jitter=jitter, chol_lower=C)
+            C = cholesky(K)
+            return GramMatrix(jitter=jitter, chol_lower=C,
+                              diagonal=clean + jitter)
         except LinAlgError:
             jitter = base if jitter == 0.0 else 10.0 * jitter
             if jitter > JITTER_CAP:
@@ -141,6 +174,10 @@ def gram(profile: KernelProfile, M, X, noise_var: float) -> GramMatrix:
                     f"Cholesky failed at jitter cap {JITTER_CAP:g} "
                     f"(n={K.shape[0]}, noise_var={noise_var:g})"
                 ) from None
+            # the failed factorization overwrote part of the upper triangle;
+            # the strict lower triangle still holds the Gram
+            for j in range(K.shape[0] - 1):
+                K[j, j + 1:] = K[j + 1:, j]
             np.add(clean, jitter, out=diag)
 
 

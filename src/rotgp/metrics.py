@@ -20,8 +20,9 @@ from .table import write_table
 Z68 = float(ndtri(0.84))
 Z95 = float(ndtri(0.975))
 
-_FIELDS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
-           "std_z", "n_test"]
+# Metric names in the column order of every metrics table.
+FIELDS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
+          "std_z", "n_test"]
 
 
 @dataclass
@@ -36,7 +37,7 @@ class Metrics:
     n_test: int
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in _FIELDS}
+        out = {k: getattr(self, k) for k in FIELDS}
         out["n_test"] = int(out["n_test"])
         return out
 
@@ -77,5 +78,5 @@ def write_metrics_json(path, metrics: Metrics, label: str | None = None) -> None
 def append_ledger_row(path, metrics: Metrics, label: str) -> None:
     """Append one row to the run-ledger CSV, creating it with a header."""
     row = metrics.to_dict()
-    write_table(path, ["label"] + _FIELDS,
-                [[label] + [row[k] for k in _FIELDS]], append=True)
+    write_table(path, ["label"] + FIELDS,
+                [[label] + [row[k] for k in FIELDS]], append=True)

@@ -45,10 +45,7 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
         if header is None:
             raise DataFormatError(f"{path}: file is empty")
         header = [c.strip() for c in header]
-        for cells in reader:
-            if not cells:
-                continue
-            line = reader.line_num
+        for line, cells in _data_rows(reader):
             if len(cells) != len(header):
                 raise DataFormatError(
                     f"{path}: line {line}: expected {len(header)} columns, "
@@ -64,3 +61,23 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return header, np.array(rows)
+
+
+def _data_rows(reader):
+    """(line number, cells) of each row after the header; blank lines are
+    skipped."""
+    for cells in reader:
+        if cells:
+            yield reader.line_num, cells
+
+
+def data_line(path, index: int) -> int:
+    """The line number of data row ``index`` (from 0) of a table that
+    ``read_table`` accepted."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        for i, (line, _) in enumerate(_data_rows(reader)):
+            if i == index:
+                return line
+    raise IndexError("data row out of range")

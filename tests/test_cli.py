@@ -515,19 +515,24 @@ class TestEvaluate:
             "predictions_csv": str(path), "out_dir": str(tmp_path / "o")})
         assert main(["evaluate", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("cell", ["abc", "nan"])
-    def test_malformed_cell_exits_2(self, tmp_path, capsys, cell):
-        # a data format error (exit 2) that writes no metrics, whether the
-        # cell fails to parse or parses to a non-finite value
+    @pytest.mark.parametrize("column, cell", [
+        ("mean", "abc"), ("mean", "nan"), ("sd", "0"), ("sd", "-0.5")],
+        ids=["abc", "nan", "sd-zero", "sd-negative"])
+    def test_malformed_cell_exits_2(self, tmp_path, capsys, column, cell):
+        # a data format error (exit 2) that creates no output, whether the
+        # cell fails to parse, parses to a non-finite value, or is an sd
+        # that is not positive
+        row = {"x": "0.1", "y": "0.0", "z": "0.0", "truth": "1.0",
+               "mean": "1.1", "sd": "0.5", column: cell}
         path = tmp_path / "preds.csv"
         path.write_text("x,y,z,truth,mean,sd\n0.0,0.0,0.0,1.0,1.1,0.5\n"
-                        f"0.1,0.0,0.0,1.0,{cell},0.5\n")
+                        + ",".join(row.values()) + "\n")
         out = tmp_path / "o"
         cfg = write_json(tmp_path / "e.json", {
             "predictions_csv": str(path), "out_dir": str(out)})
         assert main(["evaluate", "--config", cfg]) == 2
         assert f"{path}: line 3: " in capsys.readouterr().err
-        assert not (out / "metrics.json").exists()
+        assert not out.exists()
 
 
 class TestExperiment:

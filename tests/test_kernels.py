@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import LinAlgError, cholesky
 from scipy.special import gamma, kv
 
-from rotgp.kernels import (GramFactorizationError, Matern, SquaredExponential,
-                           _pairwise_sq_dist, cross_gram, gram, radial_profile)
+from rotgp.data import sample_gp_outputs
+from rotgp.gp import GPModel
+from rotgp.kernels import (JITTER_CAP, GramFactorizationError, Matern,
+                           SquaredExponential, _pairwise_sq_dist, cross_gram,
+                           gram, radial_profile)
 from rotgp.metric import Ard, CholeskySpd, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
@@ -106,8 +110,8 @@ class TestGram:
         gm = gram(SquaredExponential(), np.eye(3), X, 0.0)
         assert gm.jitter > 0.0
         assert gm.matrix[0, 1] == 1.0
-        np.testing.assert_allclose(gm.chol_lower @ gm.chol_lower.T, gm.matrix,
-                                   atol=1e-12)
+        C = np.tril(gm.chol_lower)
+        np.testing.assert_allclose(C @ C.T, gm.matrix, atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -284,3 +288,79 @@ class TestDistanceProperties:
         gm = gram(profile, M, X, 0.0025)
         oracle[np.diag_indices(n)] += 0.0025 + gm.jitter
         assert np.abs(gm.matrix - oracle).max() <= 1e-14
+
+
+def loop_sq_dist(M, A, B):
+    """Reference distance: the whitened coordinates' squared differences
+    summed one coordinate at a time with ``subtract.outer``. The Gram's bytes
+    are defined by this loop."""
+    L = np.linalg.cholesky(M)
+    Wa = A @ L
+    Wb = Wa if B is A else B @ L
+    psi = np.subtract.outer(Wa[:, 0], Wb[:, 0])
+    np.multiply(psi, psi, out=psi)
+    d = np.empty_like(psi)
+    for k in (1, 2):
+        np.subtract.outer(Wa[:, k], Wb[:, k], out=d)
+        np.multiply(d, d, out=d)
+        psi += d
+    return psi
+
+
+def reference_gram(profile, M, X, noise_var):
+    """Reference (Gram, jitter, factor): the loop distance, the jitter ladder
+    and scipy's copying Cholesky with a zeroed upper triangle."""
+    K = radial_profile(profile, loop_sq_dist(M, X, X))
+    clean = np.diag(K) + noise_var
+    base = 1e-12 * float(np.mean(clean))
+    jitter = 0.0
+    while True:
+        K[np.diag_indices_from(K)] = clean + jitter
+        try:
+            return K, jitter, cholesky(K, lower=True, check_finite=False)
+        except LinAlgError:
+            jitter = base if jitter == 0.0 else 10.0 * jitter
+            assert jitter <= JITTER_CAP
+
+
+def assert_same_bytes_as_reference(profile, params, X, noise_var):
+    M = build_metric(params)
+    K, jitter, C = reference_gram(profile, M, X, noise_var)
+    gm = gram(profile, M, X, noise_var)
+    assert gm.jitter == jitter
+    assert np.array_equal(gm.matrix, K)
+    assert np.array_equal(np.tril(gm.chol_lower), C)
+    h = len(X) // 2
+    assert np.array_equal(
+        cross_gram(profile, M, X[:h], X[h:]),
+        radial_profile(profile, loop_sq_dist(M, X[:h], X[h:])))
+    y = sample_gp_outputs(GPModel(profile, params, noise_var), X,
+                          np.random.default_rng(11))
+    z = np.random.default_rng(11).standard_normal((len(X), 1))
+    assert np.array_equal(y, (C @ z)[:, 0])
+    return jitter
+
+
+class TestSameBytesAsReference:
+    """The Gram, its jitter and factor, the cross-Gram and the synthetic draws
+    are bit-identical to the reference loop distance and scipy's Cholesky;
+    duplicate rows at zero noise take the jitter retry path."""
+
+    @_property
+    @given(_inputs_with_duplicates(), _metric_params,
+           st.sampled_from([SquaredExponential(), Matern(2.5)]),
+           st.sampled_from([0.0, 0.0025]))
+    def test_small(self, inputs, params, profile, noise_var):
+        assert_same_bytes_as_reference(profile, params, inputs[0], noise_var)
+
+    @pytest.mark.parametrize("profile", [SquaredExponential(), Matern(2.5)])
+    @pytest.mark.parametrize("noise_var", [0.0, 0.0025])
+    def test_blocked_factor_at_n300(self, profile, noise_var):
+        # n=300 runs LAPACK's blocked factorization, and its retry after a
+        # failure part-way through
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1.0, 1.0, (290, 3))
+        X = np.vstack([X, X[:10]])
+        params = Rotational((0.40, 0.10, 0.80), (0.7, -0.4, 1.0))
+        jitter = assert_same_bytes_as_reference(profile, params, X, noise_var)
+        assert (jitter > 0.0) == (noise_var == 0.0)
