@@ -29,11 +29,13 @@ from .data import (SyntheticConfig, generate_synthetic, holdout_planes,
                    load_csv, sample_gp_outputs, save_csv, standardize)
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
-from .mcmc import RNG_NAME, ChainInitError, load_chain_csv, run_chain, summarize
+from .mcmc import (RNG_NAME, ChainConfig, ChainInitError, Priors,
+                   ProposalScales, load_chain_csv, run_chain, summarize)
 from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
 from .metrics import (FIELDS, append_ledger_row, compute_metrics,
                       write_metrics_json)
-from .table import DataFormatError, data_line, read_table, write_table
+from .table import (DataFormatError, data_line, dump_json, read_table,
+                    write_table)
 
 # Stage seeds inside an experiment are derived from the base seed with these
 # fixed offsets and recorded in the resolved config.
@@ -94,26 +96,30 @@ def cmd_generate(doc: dict) -> int:
     save_csv(os.path.join(out, "test.csv"), split.test)
     provenance = dict(split.provenance)
     provenance["generator"] = doc["generator"]
-    cfg.dump_json(os.path.join(out, "provenance.json"), provenance)
-    cfg.dump_json(os.path.join(out, "resolved-config.json"), doc)
+    dump_json(os.path.join(out, "provenance.json"), provenance)
+    dump_json(os.path.join(out, "resolved-config.json"), doc)
     print(f"wrote train.csv ({split.train.n} points), "
           f"test.csv ({split.test.n} points) to {out}")
     return 0
 
 
-def _resolve_fit_doc(doc: dict) -> dict:
-    merged = cfg.merge(cfg.FIT_DEFAULTS, doc)
-    priors = cfg.priors_from_dict(merged["priors"])
-    scales = cfg.scales_from_dict(merged["proposal_scales"])
-    chain_config = cfg.chain_config_from_dict(merged["chain"])
-    merged["priors"] = cfg.priors_to_dict(priors)
-    merged["proposal_scales"] = cfg.scales_to_dict(scales)
-    merged["chain"] = chain_config.to_dict()
-    return merged
+def _resolve_fit_doc(doc: dict):
+    """The fit document over its defaults with every setting written out,
+    and the priors, proposal scales and chain config it holds."""
+    doc = cfg.merge(cfg.FIT_DEFAULTS, doc)
+    priors = cfg.settings_from_dict(Priors, doc["priors"], "priors")
+    scales = cfg.settings_from_dict(ProposalScales, doc["proposal_scales"],
+                                    "proposal scales")
+    chain_config = cfg.settings_from_dict(ChainConfig, doc["chain"],
+                                          "chain config")
+    doc["priors"] = cfg.settings_to_dict(priors)
+    doc["proposal_scales"] = cfg.settings_to_dict(scales)
+    doc["chain"] = chain_config.to_dict()
+    return doc, priors, scales, chain_config
 
 
 def cmd_fit(doc: dict) -> int:
-    doc = _resolve_fit_doc(doc)
+    doc, priors, scales, chain_config = _resolve_fit_doc(doc)
     out = doc["out_dir"]
     _ensure_dir(out)
     train = load_csv(doc["train_csv"])
@@ -124,9 +130,6 @@ def cmd_fit(doc: dict) -> int:
         standardization = {"mean": mu, "sd": sd}
 
     profile = cfg.profile_from_dict(doc["profile"])
-    priors = cfg.priors_from_dict(doc["priors"])
-    scales = cfg.scales_from_dict(doc["proposal_scales"])
-    chain_config = cfg.chain_config_from_dict(doc["chain"])
     spec = SPECS[doc["model"]]
     template = GPModel(profile=profile, params=spec.prior_mean(priors),
                        noise_var=float(doc["noise_sd"]) ** 2)
@@ -151,8 +154,8 @@ def cmd_fit(doc: dict) -> int:
         "seed": chain_config.seed,
         "rng": RNG_NAME,
     })
-    cfg.dump_json(os.path.join(out, "summary.json"), summary_doc)
-    cfg.dump_json(os.path.join(out, "resolved-config.json"), doc)
+    dump_json(os.path.join(out, "summary.json"), summary_doc)
+    dump_json(os.path.join(out, "resolved-config.json"), doc)
     for flag in summary.flags:
         print(f"warning: {flag}", file=sys.stderr)
     rates = ", ".join(f"{b}={r:.3f}" for b, r in summary.acceptance_rates.items())
@@ -363,7 +366,7 @@ def cmd_predict(doc: dict) -> int:
         var = var * sd ** 2
     _write_predictions(os.path.join(out, "predictions.csv"),
                        X_test, truth, mean, np.sqrt(var))
-    cfg.dump_json(os.path.join(out, "resolved-config.json"), doc)
+    dump_json(os.path.join(out, "resolved-config.json"), doc)
     print(f"wrote predictions.csv ({len(mean)} points) to {out}")
     return 0
 
@@ -383,7 +386,7 @@ def cmd_evaluate(doc: dict) -> int:
     doc["label"] = label
     write_metrics_json(os.path.join(out, "metrics.json"), metrics, label=label)
     append_ledger_row(os.path.join(out, "metrics-ledger.csv"), metrics, label)
-    cfg.dump_json(os.path.join(out, "resolved-config.json"), doc)
+    dump_json(os.path.join(out, "resolved-config.json"), doc)
     print(f"{label}: mae={metrics.mae:.4f} rmse={metrics.rmse:.4f} "
           f"cov95={metrics.cov95:.3f} std_z={metrics.std_z:.3f}")
     return 0
@@ -394,8 +397,8 @@ def _write_comparison(out: str, scenario: str, rows: list[dict]) -> None:
                 ["model"] + FIELDS,
                 [[row["model"]] + [row[c] for c in FIELDS]
                  for row in rows])
-    cfg.dump_json(os.path.join(out, "comparison.json"),
-                  {"scenario": scenario, "rows": rows})
+    dump_json(os.path.join(out, "comparison.json"),
+              {"scenario": scenario, "rows": rows})
 
 
 def _grid_points(grid: dict, half_width: float) -> np.ndarray:
@@ -514,13 +517,13 @@ def cmd_experiment(doc: dict) -> int:
             m: d["chain"]["seed"] for m, d in stage_docs.items()}
         if planes is not None:
             resolved["holdout_planes"] = planes
-        cfg.dump_json(os.path.join(out, "resolved-config.json"), resolved)
+        dump_json(os.path.join(out, "resolved-config.json"), resolved)
 
         # Config errors surface here, before any fit starts.
         fit_docs = []
         for model in doc["models"]:
             stage = f"fit:{model}"
-            fit_doc = _resolve_fit_doc(stage_docs[model])
+            fit_doc = _resolve_fit_doc(stage_docs[model])[0]
             cfg.validate("fit", fit_doc)
             fit_docs.append(fit_doc)
 
@@ -542,8 +545,8 @@ def cmd_experiment(doc: dict) -> int:
         print(f"experiment {scenario} complete: comparison table in {out}")
         return 0
     except Exception as exc:
-        cfg.dump_json(os.path.join(out, "failure.json"),
-                      {"stage": stage, "error": str(exc)})
+        dump_json(os.path.join(out, "failure.json"),
+                  {"stage": stage, "error": str(exc)})
         raise
 
 
@@ -567,7 +570,7 @@ def _generate_plane_holdout(doc: dict) -> list[float]:
     provenance = dict(split.provenance)
     provenance.update({"seed": doc["seed"], "rng": RNG_NAME,
                        "grid": grid, "generator": doc["generator"]})
-    cfg.dump_json(os.path.join(out, "provenance.json"), provenance)
+    dump_json(os.path.join(out, "provenance.json"), provenance)
     return [float(v) for v in chosen]
 
 
@@ -588,8 +591,8 @@ def _write_per_plane_table(doc: dict, planes: list[float]) -> None:
                 ["plane"] + list(doc["models"]),
                 [[row["plane"]] + [row[m] for m in doc["models"]]
                  for row in rows])
-    cfg.dump_json(os.path.join(out, "per_plane_mae.json"),
-                  {"planes": rows, "models": list(doc["models"])})
+    dump_json(os.path.join(out, "per_plane_mae.json"),
+              {"planes": rows, "models": list(doc["models"])})
 
 
 _COMMANDS = {

@@ -7,12 +7,13 @@ be reproduced from it alone.
 """
 
 import json
+from dataclasses import fields
 
 import jsonschema
+import numpy as np
 
 from .gp import GPModel
 from .kernels import Matern, SquaredExponential
-from .mcmc import ChainConfig, Priors, ProposalScales
 from .metric import SPECS, MetricParams
 
 
@@ -33,15 +34,15 @@ _PROFILE = {
     "additionalProperties": False,
 }
 
+# The model names, and each model's parameter fields, come from metric.SPECS.
+_MODEL = {"enum": list(SPECS)}
+
 _MODEL_SPEC = {
     "type": "object",
     "properties": {
-        "model": {"enum": ["ard", "rotational", "spd"]},
+        "model": _MODEL,
         "profile": _PROFILE,
-        "lengthscales": _ARRAY3,
-        "axis_angle": _ARRAY3,
-        "diag": _ARRAY3,
-        "offdiag": _ARRAY3,
+        **{f.name: _ARRAY3 for spec in SPECS.values() for f in fields(spec)},
         "noise_sd": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["model", "profile", "noise_sd"],
@@ -109,7 +110,7 @@ FIT_SCHEMA = {
     "type": "object",
     "properties": {
         "train_csv": {"type": "string"},
-        "model": {"enum": ["ard", "rotational", "spd"]},
+        "model": _MODEL,
         "profile": _PROFILE,
         "noise_sd": {"type": "number", "exclusiveMinimum": 0},
         "standardize": {"type": "boolean"},
@@ -162,7 +163,7 @@ EXPERIMENT_SCHEMA = {
         "out_dir": {"type": "string"},
         "models": {
             "type": "array",
-            "items": {"enum": ["ard", "rotational", "spd"]},
+            "items": _MODEL,
             "minItems": 1,
             "uniqueItems": True,
         },
@@ -176,8 +177,7 @@ EXPERIMENT_SCHEMA = {
         "proposal_scales": _SCALES,
         "proposal_scales_by_model": {
             "type": "object",
-            "properties": {"ard": _SCALES, "rotational": _SCALES,
-                           "spd": _SCALES},
+            "properties": dict.fromkeys(SPECS, _SCALES),
             "additionalProperties": False,
         },
         "chain": _CHAIN,
@@ -234,21 +234,12 @@ _PLANE_GENERATOR = {
     "noise_sd": 0.05,
 }
 
+# Full-size synthetic data sets.
+_FULL_DATA = {"n_train": 1000, "n_test": 500, "cube_half_width": 1.0}
+
 GENERATE_PRESETS = {
-    "d1": {
-        "n_train": 1000,
-        "n_test": 500,
-        "cube_half_width": 1.0,
-        "seed": 1,
-        "generator": dict(_D1_GENERATOR),
-    },
-    "d2": {
-        "n_train": 1000,
-        "n_test": 500,
-        "cube_half_width": 1.0,
-        "seed": 2,
-        "generator": dict(_D2_GENERATOR),
-    },
+    "d1": {**_FULL_DATA, "seed": 1, "generator": _D1_GENERATOR},
+    "d2": {**_FULL_DATA, "seed": 2, "generator": _D2_GENERATOR},
 }
 
 _DESK_CHAIN = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
@@ -257,45 +248,36 @@ _DESK_CHAIN = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
 # The rotational model updates six coupled coordinates per joint proposal,
 # so desk-scale runs need smaller steps than the three-parameter baselines
 # to land in the acceptance-rate window; tuned once and pinned here.
-_ROT_SCALES = {"log_lengthscale": 0.025, "axis_angle": 0.03}
+_SCALES_BY_MODEL = {"rotational": {"log_lengthscale": 0.025,
+                                   "axis_angle": 0.03}}
+
+# Desk-scale d1 and d2 experiments: every model on a small draw.
+_DESK_EXPERIMENT = {
+    "models": ["rotational", "spd", "ard"],
+    "n_train": 300,
+    "n_test": 150,
+    "cube_half_width": 1.0,
+    "standardize": False,
+    "proposal_scales_by_model": _SCALES_BY_MODEL,
+    "chain": _DESK_CHAIN,
+}
 
 EXPERIMENT_PRESETS = {
-    "d1": {
-        "scenario": "d1",
-        "seed": 1,
-        "models": ["rotational", "spd", "ard"],
-        "n_train": 300,
-        "n_test": 150,
-        "cube_half_width": 1.0,
-        "generator": dict(_D1_GENERATOR),
-        "standardize": False,
-        "proposal_scales_by_model": {"rotational": dict(_ROT_SCALES)},
-        "chain": dict(_DESK_CHAIN),
-    },
-    "d2": {
-        "scenario": "d2",
-        "seed": 2,
-        "models": ["rotational", "spd", "ard"],
-        "n_train": 300,
-        "n_test": 150,
-        "cube_half_width": 1.0,
-        "generator": dict(_D2_GENERATOR),
-        "standardize": False,
-        "proposal_scales_by_model": {"rotational": dict(_ROT_SCALES)},
-        "chain": dict(_DESK_CHAIN),
-    },
+    "d1": {**_DESK_EXPERIMENT, "scenario": "d1", "seed": 1,
+           "generator": _D1_GENERATOR},
+    "d2": {**_DESK_EXPERIMENT, "scenario": "d2", "seed": 2,
+           "generator": _D2_GENERATOR},
     "plane-holdout": {
         "scenario": "plane-holdout",
         "seed": 3,
         "models": ["rotational", "ard"],
         "cube_half_width": 1.0,
-        "generator": dict(_PLANE_GENERATOR),
+        "generator": _PLANE_GENERATOR,
         "standardize": False,
-        "proposal_scales_by_model": {"rotational": dict(_ROT_SCALES)},
+        "proposal_scales_by_model": _SCALES_BY_MODEL,
         "grid": {"nx": 10, "ny": 8, "nz": 6},
         "n_holdout_planes": 5,
-        "chain": {"n_iters": 12_000, "burn_in": 6_000, "thin": 5,
-                  "block_updates": False, "sample_noise": False},
+        "chain": {**_DESK_CHAIN, "n_iters": 12_000, "burn_in": 6_000},
     },
 }
 
@@ -339,12 +321,6 @@ def load_json(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
 
-def dump_json(path, document: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(document, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def profile_from_dict(doc: dict):
     if doc["type"] == "se":
         return SquaredExponential()
@@ -371,47 +347,18 @@ def gp_model_from_dict(doc: dict) -> GPModel:
     )
 
 
-def priors_from_dict(doc: dict) -> Priors:
+def settings_from_dict(cls, doc: dict, what: str):
+    """A settings dataclass from the keys of ``doc`` that name its fields.
+    The schemas reject every other key; ``chain.rng``, which they pin, has
+    no field."""
+    names = {f.name for f in fields(cls)}
     try:
-        return Priors(**doc)
+        return cls(**{k: v for k, v in doc.items() if k in names})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid priors: {exc}") from None
+        raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-def priors_to_dict(priors: Priors) -> dict:
-    return {
-        "lengthscale_mean": [float(v) for v in priors.lengthscale_mean],
-        "lengthscale_sd": [float(v) for v in priors.lengthscale_sd],
-        "axis_angle_sd": priors.axis_angle_sd,
-        "spd_logdiag_sd": priors.spd_logdiag_sd,
-        "spd_offdiag_sd": priors.spd_offdiag_sd,
-        "log_noise_mean": priors.log_noise_mean,
-        "log_noise_sd": priors.log_noise_sd,
-    }
-
-
-def scales_from_dict(doc: dict) -> ProposalScales:
-    try:
-        return ProposalScales(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid proposal scales: {exc}") from None
-
-
-def scales_to_dict(scales: ProposalScales) -> dict:
-    return {
-        "log_lengthscale": scales.log_lengthscale,
-        "axis_angle": scales.axis_angle,
-        "spd": scales.spd,
-        "log_noise": scales.log_noise,
-    }
-
-
-def chain_config_from_dict(doc: dict) -> ChainConfig:
-    doc = dict(doc)
-    rng = doc.pop("rng", None)
-    if rng is not None and rng != "pcg64":
-        raise ConfigError(f"unsupported rng {rng!r}; this build uses pcg64")
-    try:
-        return ChainConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid chain config: {exc}") from None
+def settings_to_dict(obj) -> dict:
+    """Every field of a settings dataclass, arrays as lists of floats."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(obj).items()}

@@ -17,7 +17,7 @@ noise and acceptance uniforms in a fixed order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,12 +62,9 @@ class Priors:
     def __post_init__(self):
         self.lengthscale_mean = np.asarray(self.lengthscale_mean, dtype=float)
         self.lengthscale_sd = np.asarray(self.lengthscale_sd, dtype=float)
-        for name in ("lengthscale_sd",):
-            if not np.all(getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        for name in ("axis_angle_sd", "spd_logdiag_sd", "spd_offdiag_sd", "log_noise_sd"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if f.name.endswith("_sd") and not np.all(getattr(self, f.name) > 0.0):
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass
@@ -87,9 +84,9 @@ class ProposalScales:
     log_noise: float = 1.0
 
     def __post_init__(self):
-        for name in ("log_lengthscale", "axis_angle", "spd", "log_noise"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass
@@ -114,15 +111,7 @@ class ChainConfig:
             raise ValueError("seed must be a non-negative integer")
 
     def to_dict(self) -> dict:
-        return {
-            "n_iters": self.n_iters,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "thin": self.thin,
-            "block_updates": self.block_updates,
-            "sample_noise": self.sample_noise,
-            "rng": RNG_NAME,
-        }
+        return {**vars(self), "rng": RNG_NAME}
 
 
 @dataclass
@@ -150,7 +139,6 @@ class Chain:
     log_posts: np.ndarray
     accept_counts: dict[str, int]
     proposal_counts: dict[str, int]
-    config: ChainConfig
     fixed_noise_var: float | None
 
     @property
@@ -198,15 +186,8 @@ class PosteriorSummary:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "geodesic_deg": self.geodesic_deg,
-            "anisotropy": self.anisotropy.to_dict(),
-            "posterior_mean_noise_var": self.posterior_mean_noise_var,
-            "acceptance_rates": self.acceptance_rates,
-            "flags": list(self.flags),
-        }
+        return {**vars(self), "anisotropy": self.anisotropy.to_dict(),
+                "flags": list(self.flags)}
 
 
 def log_prior(params: MetricParams, priors: Priors,
@@ -295,9 +276,13 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
             f"initial state has invalid posterior (log_lik={state.log_lik}, "
             f"log_prior={state.log_prior})")
 
+    # Each iteration proposes every update group once, in order: all blocks
+    # jointly, or one block at a time.
     blocks = list(spec.blocks) + (["noise"] if config.sample_noise else [])
-    accept_counts = {b: 0 for b in (blocks if config.block_updates else ["joint"])}
-    proposal_counts = {b: 0 for b in accept_counts}
+    groups = ({b: [b] for b in blocks} if config.block_updates
+              else {"joint": blocks})
+    accept_counts = dict.fromkeys(groups, 0)
+    proposal_counts = dict.fromkeys(groups, 0)
 
     names = list(spec.names) + (["noise_var"] if config.sample_noise else [])
     n_keep = (config.n_iters - config.burn_in) // config.thin
@@ -307,17 +292,11 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     kept = 0
     for i in range(1, config.n_iters + 1):
-        if config.block_updates:
-            for b in blocks:
-                state, accepted = mh_step(state, data, model, priors, scales,
-                                         rng, config.sample_noise, [b])
-                proposal_counts[b] += 1
-                accept_counts[b] += accepted
-        else:
+        for name, group in groups.items():
             state, accepted = mh_step(state, data, model, priors, scales,
-                                     rng, config.sample_noise, blocks)
-            proposal_counts["joint"] += 1
-            accept_counts["joint"] += accepted
+                                     rng, config.sample_noise, group)
+            proposal_counts[name] += 1
+            accept_counts[name] += accepted
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             vec = state.params.to_vector()
             if config.sample_noise:
@@ -330,7 +309,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     assert kept == n_keep
     return Chain(kind=spec.kind, param_names=names, iters=iters, states=states,
                  log_posts=log_posts, accept_counts=accept_counts,
-                 proposal_counts=proposal_counts, config=config,
+                 proposal_counts=proposal_counts,
                  fixed_noise_var=None if config.sample_noise else model.noise_var)
 
 

@@ -7,22 +7,17 @@ Gaussian intervals (|z| <= Phi^-1(0.84) and |z| <= Phi^-1(0.975)), while
 are inclusive.
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
 
 from .gp import PredictiveResult
-from .table import write_table
+from .table import dump_json, write_table
 
 # Central-interval half-widths in sd units for nominal 68% and 95% mass.
 Z68 = float(ndtri(0.84))
 Z95 = float(ndtri(0.975))
-
-# Metric names in the column order of every metrics table.
-FIELDS = ["mae", "rmse", "cov68", "cov95", "cov1sigma", "cov2sigma",
-          "std_z", "n_test"]
 
 
 @dataclass
@@ -37,9 +32,11 @@ class Metrics:
     n_test: int
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in FIELDS}
-        out["n_test"] = int(out["n_test"])
-        return out
+        return {**vars(self), "n_test": int(self.n_test)}
+
+
+# Metric names in the column order of every metrics table.
+FIELDS = [f.name for f in fields(Metrics)]
 
 
 def compute_metrics(pred: PredictiveResult, truth) -> Metrics:
@@ -70,9 +67,7 @@ def write_metrics_json(path, metrics: Metrics, label: str | None = None) -> None
     doc = metrics.to_dict()
     if label is not None:
         doc["label"] = label
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dump_json(path, doc)
 
 
 def append_ledger_row(path, metrics: Metrics, label: str) -> None:

@@ -1,14 +1,16 @@
-"""The one CSV format rotgp reads and writes.
+"""The file formats rotgp reads and writes: CSV tables and JSON documents.
 
 A table is a header line of column names followed by comma-separated rows
 with LF line ends. Floats are written as ``repr(float(v))``, the shortest
 text that reads back to the same double, so a table round-trips exactly;
 other cells are written with ``str``. A table read back must have a header
 and at least one row, every row as wide as the header, and every cell a
-finite number.
+finite number. A JSON document is written with sorted keys, two-space
+indents and a final newline.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -81,3 +83,9 @@ def data_line(path, index: int) -> int:
             if i == index:
                 return line
     raise IndexError("data row out of range")
+
+
+def dump_json(path, document: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(document, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -175,6 +175,39 @@ class TestFit:
         assert main(["fit", "--config", cfg]) == 2
         assert "line 4: non-finite value" in capsys.readouterr().err
 
+    def test_invalid_prior_value_exits_2_without_output(self, dataset_dir,
+                                                         tmp_path, capsys):
+        # The schema accepts any number in the array; Priors rejects the 0.
+        out = tmp_path / "fit"
+        cfg = write_json(tmp_path / "f.json", {
+            "train_csv": str(dataset_dir / "train.csv"), "model": "ard",
+            "priors": {"lengthscale_sd": [0.5, 0, 0.5]}, "out_dir": str(out)})
+        assert main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid priors: lengthscale_sd must be positive\n")
+        assert not out.exists()
+
+    def test_resolved_settings_hold_every_default(self, dataset_dir, tmp_path):
+        out = tmp_path / "fit"
+        cfg = write_json(tmp_path / "f.json", {
+            "train_csv": str(dataset_dir / "train.csv"), "model": "ard",
+            "priors": {"axis_angle_sd": 2},
+            "chain": {"n_iters": 20, "burn_in": 10}, "out_dir": str(out)})
+        assert main(["fit", "--config", cfg]) == 0
+        resolved = json.loads((out / "resolved-config.json").read_text())
+        assert resolved["priors"] == {
+            "lengthscale_mean": [0.5, 0.5, 0.5],
+            "lengthscale_sd": [0.5, 0.5, 0.5],
+            "axis_angle_sd": 2, "spd_logdiag_sd": 1.5, "spd_offdiag_sd": 3.0,
+            "log_noise_mean": -6.0, "log_noise_sd": 1.0}
+        assert type(resolved["priors"]["axis_angle_sd"]) is int
+        assert resolved["proposal_scales"] == {
+            "log_lengthscale": 0.05, "axis_angle": 0.03, "spd": 0.05,
+            "log_noise": 1.0}
+        assert resolved["chain"] == {
+            "n_iters": 20, "burn_in": 10, "seed": 0, "thin": 5,
+            "block_updates": False, "sample_noise": False, "rng": "pcg64"}
+
     def test_sampled_noise_flows_through_predict(self, dataset_dir, tmp_path):
         fit_out = tmp_path / "fitnoise"
         cfg = write_json(tmp_path / "fn.json", {
@@ -588,6 +621,20 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == 2
 
 
+    def test_invalid_prior_value_fails_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "expprior"
+        cfg = write_json(tmp_path / "xp.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 10, "n_test": 5, "models": ["spd", "ard"],
+            "priors": {"lengthscale_sd": [0.5, 0, 0.5]},
+            "chain": {"n_iters": 100, "burn_in": 50}})
+        assert main(["experiment", "--config", cfg]) == 2
+        message = "invalid priors: lengthscale_sd must be positive"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        marker = json.loads((out / "failure.json").read_text())
+        assert marker == {"stage": "fit:spd", "error": message}
+        assert not (out / "spd").exists()
+
     def test_output_in_model_order_and_reproducible(self, tmp_path, capsys):
         out = tmp_path / "exporder"
         models = ["spd", "ard", "rotational"]
@@ -719,6 +766,24 @@ class TestSchemas:
         out = tmp_path / "o"
         cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
         assert main([command, "--config", cfg]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_unsupported_rng_rejected(self, dataset_dir, tmp_path, capsys,
+                                      command):
+        chain = {"n_iters": 20, "burn_in": 10, "rng": "mt19937"}
+        doc = {
+            "fit": {"train_csv": str(dataset_dir / "train.csv"),
+                    "model": "ard", "chain": chain},
+            "experiment": {"scenario": "d2", "seed": 1, "n_train": 20,
+                           "n_test": 10, "chain": chain},
+        }[command]
+        out = tmp_path / "o"
+        cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid {command} config at chain/rng: "
+            f"'pcg64' was expected\n")
         assert not out.exists()
 
     def test_seed_flag_applies_where_meaningful(self, tmp_path):

@@ -321,7 +321,6 @@ class TestSummarize:
                       iters=np.arange(1, 21), states=states,
                       log_posts=np.full(20, -3.0),
                       accept_counts={"joint": 5}, proposal_counts={"joint": 20},
-                      config=ChainConfig(n_iters=20, burn_in=0, seed=0, thin=1),
                       fixed_noise_var=0.0025)
         s = summarize(chain)
         for name in chain.param_names:

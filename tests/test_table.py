@@ -5,7 +5,7 @@ from rotgp.cli import (_write_comparison, _write_per_plane_table,
                        _write_predictions)
 from rotgp.data import save_csv
 from rotgp.gp import Dataset
-from rotgp.mcmc import Chain, ChainConfig
+from rotgp.mcmc import Chain
 from rotgp.metrics import Metrics, append_ledger_row
 
 X = np.array([[0.1, -2.0, 1e-05], [1 / 3, 0.0, 1e300]])
@@ -27,8 +27,7 @@ def _chain(tmp):
     Chain(kind="ard", param_names=["l_x", "l_y", "l_z"],
           iters=np.array([5, 10], dtype=np.int64), states=X,
           log_posts=np.array([-1.5, -0.1]), accept_counts={},
-          proposal_counts={}, config=ChainConfig(),
-          fixed_noise_var=None).to_csv(tmp / "chain.csv")
+          proposal_counts={}, fixed_noise_var=None).to_csv(tmp / "chain.csv")
     return "chain.csv", ("iter,log_post,l_x,l_y,l_z\n"
                          "5,-1.5,0.1,-2.0,1e-05\n"
                          "10,-0.1,0.3333333333333333,0.0,1e+300\n")
