@@ -9,17 +9,10 @@ Exit codes: 0 success, 1 computation failure, 2 usage or config error.
 """
 
 import argparse
-import contextlib
-import ctypes
 import functools
-import io
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
-import signal
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +20,7 @@ from . import config as cfg
 from .config import ConfigError
 from .data import (SyntheticConfig, generate_synthetic, holdout_planes,
                    load_csv, sample_gp_outputs, save_csv, standardize)
+from .fork import fork_map, usable_cpus
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
 from .mcmc import (RNG_NAME, ChainConfig, ChainInitError, Priors,
@@ -37,13 +31,10 @@ from .metrics import (FIELDS, append_ledger_row, compute_metrics,
 from .table import (DataFormatError, data_line, dump_json, read_table,
                     write_table)
 
-# Stage seeds inside an experiment are derived from the base seed with these
-# fixed offsets and recorded in the resolved config.
-_FIT_SEED_OFFSET = {"rotational": 101, "spd": 102, "ard": 103}
+# Stage seeds inside an experiment are derived from the base seed with fixed
+# offsets (this one, and each spec's ``seed_offset`` for its fit) and recorded
+# in the resolved config.
 _PLANE_SEED_OFFSET = 7
-
-_PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>
-_STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
 
 
 def _ensure_dir(path: str) -> None:
@@ -176,117 +167,6 @@ def _model_from_summary(sdoc: dict):
     return model, sdoc.get("standardization")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (respects ``taskset``)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _init_worker() -> None:
-    """Workers die with their parent (Linux) and on SIGTERM, and leave
-    SIGINT to the parent, whose cleanup then terminates them.
-
-    The parent-death signal also covers a parent killed by SIGKILL. Its
-    result is not checked: a worker that cannot set it still does its work.
-    """
-    if sys.platform.startswith("linux"):
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
-        if os.getppid() != multiprocessing.parent_process().pid:
-            os._exit(1)  # the parent died before the signal was set
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
-
-
-def _run_block(fn, items: list, conn) -> None:
-    """Worker body: ``fn`` over ``items`` up to the first error, sent back as
-    one message of ``(result, error)`` pairs; the error carries the worker's
-    traceback text as its cause once it reaches the parent."""
-    _init_worker()
-    outcomes = []
-    for item in items:
-        try:
-            outcomes.append((fn(item), None))
-        except Exception as exc:
-            outcomes.append((None, multiprocessing.pool.ExceptionWithTraceback(
-                exc, exc.__traceback__)))
-            break
-    conn.send(outcomes)
-    conn.close()
-
-
-def _fork_map(fn, items: list, processes: int) -> list:
-    """``[fn(item) for item in items]``, computed in up to ``processes``
-    forked workers, each given one contiguous block of ``items``. Results
-    come back in input order, and an error is that of the first failing
-    item, as in the loop.
-
-    With one process, or inside a worker (which is daemonic and may not
-    start children), ``fn`` runs in this process. Fork, not spawn: workers
-    start without re-importing numpy and scipy (about 0.7 s each), and
-    ``fn`` and the blocks reach them through the fork, unpickled. The parent
-    runs no threads of its own when it forks. Each worker returns its block
-    over its own pipe, so no large message waits in a shared task queue:
-    ``multiprocessing.Pool`` could hang in ``terminate`` while its task
-    thread was blocked sending a chunk into a full pipe.
-    """
-    processes = min(processes, len(items))
-    if processes == 1 or multiprocessing.current_process().daemon:
-        return [fn(item) for item in items]
-    sys.stdout.flush()  # a forked worker would otherwise repeat buffered text
-    sys.stderr.flush()
-    context = multiprocessing.get_context("fork")
-    bounds = [len(items) * k // processes for k in range(processes + 1)]
-    workers = []
-    # Python's default SIGTERM action would skip the cleanup below, which
-    # terminates the workers; as SystemExit it runs.
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        # A handler that raises inside the fork's at-fork callbacks is
-        # ignored, so the stop signals wait until the workers have started.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                reader, writer = context.Pipe(duplex=False)
-                proc = context.Process(target=_run_block,
-                                       args=(fn, items[lo:hi], writer),
-                                       daemon=True)
-                proc.start()
-                writer.close()
-                workers.append((proc, reader))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = []
-        for _, reader in workers:
-            try:
-                outcomes += reader.recv()
-            except EOFError:
-                raise RuntimeError(
-                    "a worker process exited without its results") from None
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, reader in workers:
-            proc.join()
-            reader.close()
-        signal.signal(signal.SIGTERM, previous)
-    for _, error in outcomes:
-        if error is not None:
-            raise error
-    return [result for result, _ in outcomes]
-
-
 def _sample_predictive(spec, profile, fixed_noise_var, train, X_test, row):
     """One stored sample's predictive mean and variance, and its noise."""
     params, noise_var = spec.from_row(row, fixed_noise_var)
@@ -312,7 +192,7 @@ def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
             f"{chain_csv}: chain columns {','.join(names)} match no model")
     sample = functools.partial(_sample_predictive, spec, profile,
                                fixed_noise_var, train, X_test)
-    per_sample = _fork_map(sample, list(states), _usable_cpus())
+    per_sample = fork_map(sample, list(states), usable_cpus())
     mean_acc = np.zeros_like(per_sample[0][0])
     second_acc = np.zeros_like(mean_acc)
     noise_acc = 0.0
@@ -425,68 +305,45 @@ def _experiment_stage_docs(doc: dict):
             "priors": doc.get("priors", {}),
             "proposal_scales": scales,
             "chain": cfg.merge(doc.get("chain", {}),
-                               {"seed": doc["seed"] + _FIT_SEED_OFFSET[model]}),
+                               {"seed": doc["seed"] + SPECS[model].seed_offset}),
             "out_dir": os.path.join(doc["out_dir"], model),
         }
     return fits
 
 
-class _PipelineResult(NamedTuple):
-    """One model's experiment stages as run in a worker: the comparison row,
-    the text the stages printed, and the stage that failed with its error."""
-
-    row: dict | None
-    stdout: str
-    stderr: str
-    stage: str
-    error: Exception | None
-
-    def __reduce__(self):
-        # sent from a worker, the error keeps its traceback text as its cause
-        error = self.error
-        if error is not None:
-            error = multiprocessing.pool.ExceptionWithTraceback(
-                error, error.__traceback__)
-        return _PipelineResult, (self.row, self.stdout, self.stderr,
-                                 self.stage, error)
-
-
-def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> _PipelineResult:
-    """Fit, predict and evaluate one model, capturing what the stages print."""
+def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> dict:
+    """Fit, predict and evaluate one model; its comparison row. An error
+    carries the stage that raised it as ``stage``."""
     model = fit_doc["model"]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    row, error = None, None
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            stage = f"fit:{model}"
-            cmd_fit(fit_doc)
+    try:
+        stage = f"fit:{model}"
+        cmd_fit(fit_doc)
 
-            stage = f"predict:{model}"
-            predict_doc = {
-                "train_csv": os.path.join(out, "train.csv"),
-                "test_csv": os.path.join(out, "test.csv"),
-                "summary_json": os.path.join(out, model, "summary.json"),
-                "out_dir": os.path.join(out, model),
-            }
-            cfg.validate("predict", predict_doc)
-            cmd_predict(predict_doc)
+        stage = f"predict:{model}"
+        predict_doc = {
+            "train_csv": os.path.join(out, "train.csv"),
+            "test_csv": os.path.join(out, "test.csv"),
+            "summary_json": os.path.join(out, model, "summary.json"),
+            "out_dir": os.path.join(out, model),
+        }
+        cfg.validate("predict", predict_doc)
+        cmd_predict(predict_doc)
 
-            stage = f"evaluate:{model}"
-            eval_doc = {
-                "predictions_csv": os.path.join(out, model, "predictions.csv"),
-                "label": f"{scenario}-{model}",
-                "out_dir": os.path.join(out, model),
-            }
-            cfg.validate("evaluate", eval_doc)
-            cmd_evaluate(eval_doc)
-            with open(os.path.join(out, model, "metrics.json"),
-                      encoding="utf-8") as f:
-                metrics = json.load(f)
-            row = {"model": model, **{k: metrics[k] for k in FIELDS}}
-        except Exception as exc:
-            error = exc
-    return _PipelineResult(row, stdout.getvalue(), stderr.getvalue(), stage,
-                           error)
+        stage = f"evaluate:{model}"
+        eval_doc = {
+            "predictions_csv": os.path.join(out, model, "predictions.csv"),
+            "label": f"{scenario}-{model}",
+            "out_dir": os.path.join(out, model),
+        }
+        cfg.validate("evaluate", eval_doc)
+        cmd_evaluate(eval_doc)
+        with open(os.path.join(out, model, "metrics.json"),
+                  encoding="utf-8") as f:
+            metrics = json.load(f)
+    except Exception as exc:
+        exc.stage = stage
+        raise
+    return {"model": model, **{k: metrics[k] for k in FIELDS}}
 
 
 def cmd_experiment(doc: dict) -> int:
@@ -519,7 +376,8 @@ def cmd_experiment(doc: dict) -> int:
             resolved["holdout_planes"] = planes
         dump_json(os.path.join(out, "resolved-config.json"), resolved)
 
-        # Config errors surface here, before any fit starts.
+        # Config errors surface here, before any fit starts. A worker that
+        # dies without its results leaves the last model's fit as the stage.
         fit_docs = []
         for model in doc["models"]:
             stage = f"fit:{model}"
@@ -529,14 +387,7 @@ def cmd_experiment(doc: dict) -> int:
 
         # one worker per model (at most three), not capped at the CPU count
         pipeline = functools.partial(_model_pipeline, out, scenario)
-        rows = []
-        for result in _fork_map(pipeline, fit_docs, len(fit_docs)):
-            sys.stderr.write(result.stderr)
-            sys.stdout.write(result.stdout)
-            if result.error is not None:
-                stage = result.stage
-                raise result.error
-            rows.append(result.row)
+        rows = fork_map(pipeline, fit_docs, len(fit_docs))
 
         stage = "report"
         _write_comparison(out, scenario, rows)
@@ -546,7 +397,7 @@ def cmd_experiment(doc: dict) -> int:
         return 0
     except Exception as exc:
         dump_json(os.path.join(out, "failure.json"),
-                  {"stage": stage, "error": str(exc)})
+                  {"stage": getattr(exc, "stage", stage), "error": str(exc)})
         raise
 
 

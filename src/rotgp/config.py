@@ -209,6 +209,11 @@ SCHEMAS = {
     "experiment": EXPERIMENT_SCHEMA,
 }
 
+# Built once: ``jsonschema.validate`` checks the schema against its metaschema
+# on every call, which costs far more than the document; the tests check it.
+_VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema)
+               for name, schema in SCHEMAS.items()}
+
 _D1_GENERATOR = {
     "model": "rotational",
     "profile": {"type": "se"},
@@ -293,11 +298,11 @@ FIT_DEFAULTS = {
 
 def validate(command: str, document: dict) -> None:
     """Schema-check a config document; raises ConfigError on violation."""
-    try:
-        jsonschema.validate(document, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(
+        _VALIDATORS[command].iter_errors(document))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"invalid {command} config at {path}: {exc.message}") from None
+        raise ConfigError(f"invalid {command} config at {path}: {exc.message}")
 
 
 def merge(base: dict, override: dict) -> dict:

@@ -92,7 +92,8 @@ def predict(model: GPModel, train: Dataset, X_test) -> PredictiveResult:
     Ks = cross_gram(model.profile, M, X_test, train.X)
     alpha = cho_solve((C, True), train.y, check_finite=False)
     mean = Ks @ alpha
-    V = solve_triangular(C, Ks.T, lower=True, check_finite=False)
+    V = solve_triangular(C, Ks.T, lower=True, overwrite_b=True,
+                         check_finite=False)
     var = 1.0 + model.noise_var - np.einsum("ij,ij->j", V, V)
     var = np.maximum(var, model.noise_var)
     return PredictiveResult(mean=mean, var=var)

@@ -111,6 +111,7 @@ class Ard(_Spec):
     lengthscales: np.ndarray
 
     kind = "ard"
+    seed_offset = 103  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z")
     blocks = ("lengthscales",)
 
@@ -145,6 +146,7 @@ class Rotational(_Spec):
     axis_angle: np.ndarray
 
     kind = "rotational"
+    seed_offset = 101  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z", "a_1", "a_2", "a_3")
     blocks = ("lengthscales", "axis_angle")
 
@@ -195,6 +197,7 @@ class CholeskySpd(_Spec):
     offdiag: np.ndarray
 
     kind = "spd"
+    seed_offset = 102  # of the fit seed from an experiment's base seed
     names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
     blocks = ("cholesky",)
 

@@ -6,10 +6,13 @@ import subprocess
 import sys
 import time
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from rotgp.cli import _load_locations, _read_predictions, main
+from rotgp.config import SCHEMAS, ConfigError, validate
 from rotgp.data import load_csv
 from rotgp.mcmc import load_chain_csv
 
@@ -574,16 +577,18 @@ class TestExperiment:
         cfg = write_json(tmp_path / "x.json", {
             "scenario": "d2", "seed": 9, "out_dir": str(out),
             "n_train": 30, "n_test": 15,
-            "models": ["rotational", "ard"],
+            "models": ["rotational", "spd", "ard"],
             "chain": {"n_iters": 300, "burn_in": 100, "thin": 4}})
         assert main(["experiment", "--config", cfg]) == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0].startswith("model,mae,rmse,cov68,cov95")
-        assert [l.split(",")[0] for l in lines[1:]] == ["rotational", "ard"]
+        assert [l.split(",")[0] for l in lines[1:]] == ["rotational", "spd",
+                                                        "ard"]
         doc = json.loads((out / "comparison.json").read_text())
-        assert doc["scenario"] == "d2" and len(doc["rows"]) == 2
+        assert doc["scenario"] == "d2" and len(doc["rows"]) == 3
         resolved = json.loads((out / "resolved-config.json").read_text())
-        assert resolved["derived_seeds"] == {"rotational": 110, "ard": 112}
+        assert resolved["derived_seeds"] == {"rotational": 110, "spd": 111,
+                                             "ard": 112}
 
     def test_tiny_plane_holdout_scenario(self, tmp_path):
         out = tmp_path / "exph"
@@ -673,6 +678,21 @@ class TestExperiment:
         assert (out / "spd" / "metrics.json").exists()
         assert not (out / "comparison.csv").exists()
 
+    def test_dead_worker_names_the_last_fit_stage(self, tmp_path,
+                                                  monkeypatch):
+        # Workers that exit without results leave no stage of their own, so
+        # the stage is the one set before the fork: the last model's fit.
+        monkeypatch.setattr("rotgp.cli.cmd_fit", lambda doc: os._exit(1))
+        out = tmp_path / "expdead"
+        cfg = write_json(tmp_path / "xd.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 10, "n_test": 5, "models": ["ard", "spd"],
+            "chain": {"n_iters": 100, "burn_in": 50}})
+        assert main(["experiment", "--config", cfg]) == 1
+        marker = json.loads((out / "failure.json").read_text())
+        assert marker == {"stage": "fit:spd", "error":
+                          "a worker process exited without its results"}
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT,
                                         signal.SIGKILL],
@@ -739,12 +759,57 @@ def _pids_with_arg(arg: str) -> list[int]:
 
 class TestSchemas:
     def test_shipped_schema_files_match_live(self):
-        from rotgp.config import SCHEMAS
         root = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
         for name, schema in SCHEMAS.items():
             path = os.path.join(root, f"{name}.schema.json")
             with open(path, encoding="utf-8") as f:
                 assert json.load(f) == schema
+
+    def test_schemas_are_valid(self):
+        root = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
+        shipped = []
+        for name in sorted(os.listdir(root)):
+            with open(os.path.join(root, name), encoding="utf-8") as f:
+                shipped.append(json.load(f))
+        for schema in list(SCHEMAS.values()) + shipped:
+            validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("generate", {}),
+        ("generate", {"n_train": "10", "n_test": 5, "seed": 1,
+                      "out_dir": "o"}),
+        ("generate", {"n_train": 10, "n_test": 5, "seed": 1, "out_dir": "o",
+                      "generator": {"model": "ard", "lengthscales": [1, 1],
+                                    "noise_sd": 0.1}}),
+        ("fit", {"train_csv": "t.csv", "model": "iso", "out_dir": "o"}),
+        ("fit", {"train_csv": "t.csv", "model": "ard", "out_dir": "o",
+                 "chain": {"n_iters": -1, "thin": 0}}),
+        ("fit", {"train_csv": "t.csv", "model": "ard", "out_dir": "o",
+                 "priors": {"lengthscale_mean": [0.5, 0.5]}, "extra": 1}),
+        ("predict", {"train_csv": "t.csv", "out_dir": "o"}),
+        ("predict", {"train_csv": "t.csv", "test_csv": "t.csv",
+                     "out_dir": "o", "model_params": {"model": "spd"}}),
+        ("predict", {"train_csv": 3, "test_csv": "t.csv", "out_dir": "o",
+                     "posterior_mean_of_predictions": "yes"}),
+        ("evaluate", {"out_dir": "o"}),
+        ("evaluate", {"predictions_csv": "p.csv", "out_dir": "o",
+                      "label": 7}),
+        ("experiment", {"scenario": "d3", "seed": 1, "out_dir": "o"}),
+        ("experiment", {"scenario": "d1", "seed": 1.5, "out_dir": "o",
+                        "models": ["ard", "ard2"]}),
+        ("experiment", {"scenario": "d1", "seed": 1, "out_dir": "o",
+                        "proposal_scales_by_model": {"iso": {}}}),
+    ])
+    def test_error_text_matches_jsonschema_validate(self, command, doc):
+        # The validators are built once; the message must stay the one that
+        # jsonschema.validate, which re-checks the schema on every call, gives.
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, SCHEMAS[command])
+        path = "/".join(str(p) for p in ref.value.absolute_path) or "(root)"
+        with pytest.raises(ConfigError) as info:
+            validate(command, doc)
+        assert str(info.value) == (f"invalid {command} config at {path}: "
+                                   f"{ref.value.message}")
 
     @pytest.mark.parametrize("command", ["fit", "predict", "experiment"])
     def test_zero_noise_sd_rejected(self, dataset_dir, tmp_path, command):

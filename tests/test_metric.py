@@ -255,6 +255,10 @@ class TestMisalignmentAngles:
 def test_spec_layout_and_io(spec):
     start = spec.prior_mean(Priors())
     assert len(spec.names) == start.to_vector().size
+    # each model's experiment fit seed has its own offset
+    offsets = [other.seed_offset for other in SPECS.values()]
+    assert isinstance(spec.seed_offset, int)
+    assert offsets.count(spec.seed_offset) == 1
 
     vec = np.random.default_rng(41).uniform(0.1, 1.0, len(spec.names))
     params = spec.from_vector(vec)
