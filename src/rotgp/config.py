@@ -7,6 +7,7 @@ be reproduced from it alone.
 """
 
 import json
+import math
 from dataclasses import fields
 
 import jsonschema
@@ -317,9 +318,14 @@ def merge(base: dict, override: dict) -> dict:
 
 
 def load_json(path) -> dict:
+    def finite(text):  # NaN, Infinity, -Infinity and overflowing literals
+        if not math.isfinite(value := float(text)):
+            raise ConfigError(f"config file {path} holds a non-finite number: {text}")
+        return value
+
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_constant=finite, parse_float=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

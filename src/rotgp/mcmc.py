@@ -1,21 +1,20 @@
 """Random-walk Metropolis-Hastings over metric parameters.
 
-The sampler is generic: the parameterisation's spec (see
-:mod:`rotgp.metric`) supplies the update blocks, the log prior, the proposal
-and the flat-vector layout of stored samples.
-
-The target is the posterior over raw parameters: Gaussian priors sit on the
-length-scales themselves, on the axis-angle components, on the log-diagonal
-and off-diagonal Cholesky entries, and on log noise variance when noise is
-sampled. Positive parameters (length-scales, Cholesky diagonal) are proposed
-on the log scale; for the length-scales, whose prior lives on the raw
-coordinate, the acceptance ratio carries the matching log-proposal Jacobian
-so the target density is unchanged.
+The sampler is generic. Its state is one flat vector ``x``, laid out as a
+stored chain row: the spec's ``names``, then ``noise_var`` when noise is
+sampled. One walk moves the fields of the blocks being updated, each as its
+row in the spec's table says (see :mod:`rotgp.metric`), and the same table
+gives the Gaussian prior on the raw coordinates. The noise is this module's
+own row (block ``noise``, step ``log_noise``): walked as ``exp(log x + eps)``,
+with its prior on log noise variance. The length-scales' prior lives on the
+raw coordinate, so their log-scale walk carries the log-proposal Jacobian in
+the acceptance ratio and the target density is unchanged.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -42,14 +41,9 @@ class ChainInitError(RuntimeError):
 
 @dataclass
 class Priors:
-    """Independent Gaussian priors on the raw parameter coordinates.
-
-    Length-scale priors are Gaussian on the length-scales themselves (with
-    zero mass below zero enforced separately); the axis-angle prior is
-    zero-mean isotropic; Cholesky-SPD priors are zero-mean Gaussians on the
-    log-diagonal and off-diagonal factor entries; the optional noise prior
-    is Gaussian on log noise variance.
-    """
+    """Independent Gaussian priors: the sd, and the mean or zero, that each
+    row of a spec's table names, on the coordinate its move gives (see
+    ``metric.Row``), and the noise's, on log noise variance."""
 
     lengthscale_mean: np.ndarray = (0.5, 0.5, 0.5)
     lengthscale_sd: np.ndarray = (0.5, 0.5, 0.5)
@@ -116,10 +110,9 @@ class ChainConfig:
 
 @dataclass
 class SamplerState:
-    """Current parameter state with cached log-likelihood and log-prior."""
+    """Current flat state ``x`` with cached log-likelihood and log-prior."""
 
-    params: MetricParams
-    noise_var: float
+    x: np.ndarray
     log_lik: float
     log_prior: float
 
@@ -192,18 +185,17 @@ class PosteriorSummary:
 
 def log_prior(params: MetricParams, priors: Priors,
               log_noise_var: float | None = None) -> float:
-    """Sum of Gaussian log prior densities on the raw coordinates.
+    """Sum of Gaussian log prior densities on the raw coordinates, with the
+    noise's on ``log_noise_var`` when it is given.
 
     Returns -inf for states violating positivity or finiteness, which the
     sampler reads as an automatic rejection.
     """
     total = params.log_prior(priors)
-    if total == _NEG_INF or log_noise_var is None:
-        return total
-    if not np.isfinite(log_noise_var):
-        return _NEG_INF
-    return total + float(normal_logpdf(log_noise_var, priors.log_noise_mean,
-                                       priors.log_noise_sd))
+    if log_noise_var is not None:
+        total += float(normal_logpdf(log_noise_var, priors.log_noise_mean,
+                                     priors.log_noise_sd))
+    return total
 
 
 def _log_lik(model: GPModel, params: MetricParams, noise_var: float,
@@ -218,45 +210,68 @@ def _log_lik(model: GPModel, params: MetricParams, noise_var: float,
         return _NEG_INF
 
 
+# The walk's moves by name; "log" is the noise's, which keeps the bytes of
+# exp(log x + eps) that x * exp(eps) would change in the last bits.
+_MOVES = {"add": lambda x, eps: x + eps,
+          "scale": lambda x, eps: x * np.exp(eps),
+          "jacobian": lambda x, eps: x * np.exp(eps),
+          "log": lambda x, eps: np.exp(np.log(x) + eps)}
+
+
+@functools.cache
+def _walk_rows(spec: type, sample_noise: bool) -> tuple:
+    """``(block, slice of x, step, move)`` per field, in layout order."""
+    rows = [(row.block, slice(i, i + 3), row.step, row.move)
+            for i, row in zip(range(0, len(spec.names), 3), spec.table.values())]
+    if sample_noise:
+        n = len(spec.names)
+        rows.append(("noise", slice(n, n + 1), "log_noise", "log"))
+    return tuple(rows)
+
+
+def _score(x: np.ndarray, model: GPModel, priors: Priors,
+           data: Dataset | None) -> SamplerState:
+    """The state at ``x``; its likelihood is -inf, uncomputed, if its prior is."""
+    spec = type(model.params)
+    params, noise_var = spec.from_row(x, model.noise_var)
+    log_nv = math.log(noise_var) if x.size > len(spec.names) else None
+    lp = log_prior(params, priors, log_noise_var=log_nv)
+    ll = _log_lik(model, params, noise_var, data) if lp > _NEG_INF else _NEG_INF
+    return SamplerState(x, ll, lp)
+
+
 def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
             priors: Priors, scales: ProposalScales, rng: np.random.Generator,
-            sample_noise: bool = False, blocks: list[str] | None = None
-            ) -> tuple[SamplerState, bool]:
+            blocks: list[str] | None = None) -> tuple[SamplerState, bool]:
     """One Metropolis-Hastings update of ``blocks``, by default all of them
-    jointly.
-
-    Proposals whose prior is -inf or whose Gram matrix cannot be factorized
-    are rejected without further work.
-    """
-    if blocks is None:
-        blocks = list(state.params.blocks) + (["noise"] if sample_noise else [])
-    new_params, jac = state.params.propose(blocks, scales, rng)
-    new_noise = state.noise_var
-    if sample_noise and "noise" in blocks:
-        new_noise = float(np.exp(np.log(state.noise_var)
-                                 + rng.normal(0.0, scales.log_noise)))
-    log_nv = math.log(new_noise) if sample_noise else None
-    lp = log_prior(new_params, priors, log_noise_var=log_nv)
-    if lp == _NEG_INF:
-        return state, False
-    ll = _log_lik(model, new_params, new_noise, data)
-    log_alpha = (ll + lp) - (state.log_lik + state.log_prior) + jac
+    jointly; the noise is sampled when ``state.x`` holds it. Each moved field
+    draws ``rng.normal(0, step, size)``, in layout order. Proposals whose
+    prior is -inf or whose Gram matrix cannot be factorized are rejected
+    without further work."""
+    spec = type(model.params)
+    x, jac = state.x.copy(), 0.0
+    for block, part, step, move in _walk_rows(spec, state.x.size > len(spec.names)):
+        if blocks is None or block in blocks:
+            eps = rng.normal(0.0, getattr(scales, step), part.stop - part.start)
+            x[part] = _MOVES[move](x[part], eps)
+            if move == "jacobian":
+                jac += float(np.sum(eps))
+    new = _score(x, model, priors, data)
+    log_alpha = new.log_post - state.log_post + jac
     if log_alpha == _NEG_INF:
         return state, False
     if rng.uniform() < math.exp(min(log_alpha, 0.0)):
-        return SamplerState(new_params, new_noise, ll, lp), True
+        return new, True
     return state, False
 
 
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   sample_noise: bool = False) -> SamplerState:
     """Prior-mean start of the template's parameterisation."""
-    params = type(model.params).prior_mean(priors)
-    noise_var = math.exp(priors.log_noise_mean) if sample_noise else model.noise_var
-    log_nv = math.log(noise_var) if sample_noise else None
-    lp = log_prior(params, priors, log_noise_var=log_nv)
-    ll = _log_lik(model, params, noise_var, data) if lp > _NEG_INF else _NEG_INF
-    return SamplerState(params, noise_var, ll, lp)
+    x = type(model.params).prior_mean(priors).to_vector()
+    if sample_noise:
+        x = np.append(x, math.exp(priors.log_noise_mean))
+    return _score(x, model, priors, data)
 
 
 def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
@@ -278,7 +293,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     # Each iteration proposes every update group once, in order: all blocks
     # jointly, or one block at a time.
-    blocks = list(spec.blocks) + (["noise"] if config.sample_noise else [])
+    blocks = list(dict.fromkeys(r[0] for r in _walk_rows(spec, config.sample_noise)))
     groups = ({b: [b] for b in blocks} if config.block_updates
               else {"joint": blocks})
     accept_counts = dict.fromkeys(groups, 0)
@@ -294,15 +309,12 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     for i in range(1, config.n_iters + 1):
         for name, group in groups.items():
             state, accepted = mh_step(state, data, model, priors, scales,
-                                     rng, config.sample_noise, group)
+                                     rng, group)
             proposal_counts[name] += 1
             accept_counts[name] += accepted
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
-            vec = state.params.to_vector()
-            if config.sample_noise:
-                vec = np.append(vec, state.noise_var)
             iters[kept] = i
-            states[kept] = vec
+            states[kept] = state.x
             log_posts[kept] = state.log_post
             kept += 1
 

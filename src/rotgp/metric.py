@@ -10,9 +10,10 @@ inside a stationary kernel:
 * :class:`CholeskySpd` -- generic lower-triangular factor, ``M = L L^T``.
 
 Each class is the one spec of its parameterisation: parameter names and
-flat-vector layout, MH update blocks, log prior and random-walk proposal,
-prior-mean start, metric builder and dict I/O. ``SPECS`` maps a model name to
-its class, so the sampler, summaries, config and CLI never branch on it.
+flat-vector layout, a ``table`` with one :class:`Row` per field (its MH update
+block, random-walk step and move, and Gaussian prior), prior-mean start,
+metric builder and dict I/O. ``SPECS`` maps a model name to its class, so the
+sampler, summaries, config and CLI never branch on it.
 
 :func:`eigen_summary` reduces any such metric back to invariant quantities
 (sorted principal ranges, sign-fixed directions, rotation angle from axis
@@ -22,6 +23,7 @@ compared.
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,24 +54,29 @@ def normal_logpdf(x, mean, sd):
     return -0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi)
 
 
-def _lengthscale_log_prior(ls: np.ndarray, priors) -> float:
-    if not _positive_finite(ls):
-        return _NEG_INF
-    return float(np.sum(normal_logpdf(ls, priors.lengthscale_mean,
-                                      priors.lengthscale_sd)))
+class Row(NamedTuple):
+    """A field's MH update ``block``, walk ``step`` (a ``ProposalScales``
+    field) and ``move``, and its Gaussian prior's ``sd`` and ``mean``
+    (``Priors`` fields; no mean is zero). ``add`` moves ``x + eps`` with the
+    prior on x; ``scale`` moves ``x * exp(eps)`` with the prior on log x;
+    ``jacobian`` moves ``x * exp(eps)`` with the prior on x > 0, so the
+    acceptance ratio carries the log-proposal Jacobian ``sum(eps)``."""
+
+    block: str
+    step: str
+    move: str
+    sd: str
+    mean: str | None = None
 
 
-def _walk_lengthscales(ls: np.ndarray, scales, rng) -> tuple[np.ndarray, float]:
-    """Log-scale random walk; returns the new length-scales and the log
-    Jacobian, which the acceptance ratio needs because the prior is a density
-    over the raw length-scales."""
-    eps = rng.normal(0.0, scales.log_lengthscale, size=3)
-    return ls * np.exp(eps), float(np.sum(eps))
+_LENGTHSCALES = Row("lengthscales", "log_lengthscale", "jacobian",
+                    "lengthscale_sd", "lengthscale_mean")
 
 
 class _Spec:
-    """Flat-vector and dict I/O shared by the specs: each dataclass field is
-    a 3-vector, stored in declaration order under ``names``."""
+    """Flat-vector and dict I/O and the log prior shared by the specs: each
+    dataclass field is a 3-vector, stored in declaration order under
+    ``names``, and has one row in ``table``, keyed by the field's name."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -93,6 +100,15 @@ class _Spec:
         return cls.from_vector(row), noise_var
 
     @classmethod
+    def prior_mean(cls, priors):
+        """Each field at its prior's mean, or at exp(mean) for a prior on
+        log x: the identity rotation and the unit Cholesky diagonal."""
+        def centre(row):
+            mean = np.full(3, getattr(priors, row.mean) if row.mean else 0.0)
+            return np.exp(mean) if row.move == "scale" else mean
+        return cls(*map(centre, cls.table.values()))
+
+    @classmethod
     def from_dict(cls, doc: dict):
         """Parameters from a model-spec dict; KeyError names a missing field."""
         return cls(*(doc[f.name] for f in fields(cls)))
@@ -102,6 +118,20 @@ class _Spec:
         for f in fields(self):
             out[f.name] = [float(v) for v in getattr(self, f.name)]
         return out
+
+    def log_prior(self, priors) -> float:
+        """Sum of each field's Gaussian log prior, as its row gives it; -inf
+        when a field is not finite, or not positive under a log-scale move."""
+        total = 0.0
+        for name, row in self.table.items():
+            v = getattr(self, name)
+            if not (np.all(np.isfinite(v)) if row.move == "add"
+                    else _positive_finite(v)):
+                return _NEG_INF
+            mean = getattr(priors, row.mean) if row.mean else 0.0
+            v = np.log(v) if row.move == "scale" else v
+            total += float(np.sum(normal_logpdf(v, mean, getattr(priors, row.sd))))
+        return total
 
 
 @dataclass
@@ -113,26 +143,12 @@ class Ard(_Spec):
     kind = "ard"
     seed_offset = 103  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z")
-    blocks = ("lengthscales",)
-
-    @classmethod
-    def prior_mean(cls, priors):
-        return cls(priors.lengthscale_mean.copy())
+    table = {"lengthscales": _LENGTHSCALES}
 
     def metric(self) -> np.ndarray:
         _require(_positive_finite(self.lengthscales),
                  "ARD length-scales must be finite and positive")
         return np.diag(self.lengthscales ** -2.0)
-
-    def log_prior(self, priors) -> float:
-        return _lengthscale_log_prior(self.lengthscales, priors)
-
-    def propose(self, blocks, scales, rng):
-        """Random-walk move of the listed blocks: ``(params', log Jacobian)``."""
-        if "lengthscales" not in blocks:
-            return self, 0.0
-        ls, jac = _walk_lengthscales(self.lengthscales, scales, rng)
-        return Ard(ls), jac
 
     def rotation_deg(self) -> float:
         return 0.0
@@ -148,12 +164,9 @@ class Rotational(_Spec):
     kind = "rotational"
     seed_offset = 101  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z", "a_1", "a_2", "a_3")
-    blocks = ("lengthscales", "axis_angle")
-
-    @classmethod
-    def prior_mean(cls, priors):
-        """Length-scales at their prior means, identity rotation."""
-        return cls(priors.lengthscale_mean.copy(), np.zeros(3))
+    table = {"lengthscales": _LENGTHSCALES,
+             "axis_angle": Row("axis_angle", "axis_angle", "add",
+                               "axis_angle_sd")}
 
     def metric(self) -> np.ndarray:
         _require(_positive_finite(self.lengthscales),
@@ -163,21 +176,6 @@ class Rotational(_Spec):
         R = exp_so3(self.axis_angle)
         M = R.T @ np.diag(self.lengthscales ** -2.0) @ R
         return 0.5 * (M + M.T)
-
-    def log_prior(self, priors) -> float:
-        lp = _lengthscale_log_prior(self.lengthscales, priors)
-        if lp == _NEG_INF or not np.all(np.isfinite(self.axis_angle)):
-            return _NEG_INF
-        return lp + float(np.sum(normal_logpdf(self.axis_angle, 0.0,
-                                               priors.axis_angle_sd)))
-
-    def propose(self, blocks, scales, rng):
-        ls, aa, jac = self.lengthscales, self.axis_angle, 0.0
-        if "lengthscales" in blocks:
-            ls, jac = _walk_lengthscales(ls, scales, rng)
-        if "axis_angle" in blocks:
-            aa = aa + rng.normal(0.0, scales.axis_angle, size=3)
-        return Rotational(ls, aa), jac
 
     def rotation_deg(self) -> float:
         return math.degrees(geodesic_angle(exp_so3(self.axis_angle)))
@@ -189,8 +187,6 @@ class CholeskySpd(_Spec):
 
     ``diag`` holds the three positive diagonal entries of L; ``offdiag``
     holds the sub-diagonal entries in the order (L[1,0], L[2,0], L[2,1]).
-    The prior sits on the log-diagonal, so its log-scale walk needs no
-    Jacobian term.
     """
 
     diag: np.ndarray
@@ -199,11 +195,8 @@ class CholeskySpd(_Spec):
     kind = "spd"
     seed_offset = 102  # of the fit seed from an experiment's base seed
     names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
-    blocks = ("cholesky",)
-
-    @classmethod
-    def prior_mean(cls, priors):
-        return cls(np.ones(3), np.zeros(3))
+    table = {"diag": Row("cholesky", "spd", "scale", "spd_logdiag_sd"),
+             "offdiag": Row("cholesky", "spd", "add", "spd_offdiag_sd")}
 
     def metric(self) -> np.ndarray:
         _require(_positive_finite(self.diag),
@@ -216,20 +209,6 @@ class CholeskySpd(_Spec):
                       [o[1], o[2], d[2]]])
         M = L @ L.T
         return 0.5 * (M + M.T)
-
-    def log_prior(self, priors) -> float:
-        d, o = self.diag, self.offdiag
-        if not (_positive_finite(d) and np.all(np.isfinite(o))):
-            return _NEG_INF
-        return (float(np.sum(normal_logpdf(np.log(d), 0.0, priors.spd_logdiag_sd)))
-                + float(np.sum(normal_logpdf(o, 0.0, priors.spd_offdiag_sd))))
-
-    def propose(self, blocks, scales, rng):
-        if "cholesky" not in blocks:
-            return self, 0.0
-        d = self.diag * np.exp(rng.normal(0.0, scales.spd, size=3))
-        o = self.offdiag + rng.normal(0.0, scales.spd, size=3)
-        return CholeskySpd(d, o), 0.0
 
     def rotation_deg(self) -> None:
         """No rotation coordinate: summarized through the eigendecomposition."""

@@ -833,6 +833,28 @@ class TestSchemas:
         assert main([command, "--config", cfg]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, text", [
+        ("noise_sd", "NaN"),
+        ("noise_sd", "Infinity"),
+        ("noise_sd", "1e999"),
+        ("proposal_scales", '{"log_lengthscale": Infinity}'),
+        ("priors", '{"log_noise_mean": -Infinity}'),
+    ])
+    def test_non_finite_number_rejected(self, dataset_dir, tmp_path, capsys,
+                                        field, text):
+        # JSON has no NaN or infinity; Python's parser reads them, and NaN
+        # passes exclusiveMinimum, so they are refused as the file is read.
+        out = tmp_path / "o"
+        doc = json.dumps({"train_csv": str(dataset_dir / "train.csv"),
+                          "model": "ard", "chain": {"n_iters": 20, "burn_in": 10},
+                          "out_dir": str(out), field: None})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc.replace("null", text))
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "non-finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "experiment"])
     def test_unsupported_rng_rejected(self, dataset_dir, tmp_path, capsys,
                                       command):

@@ -105,14 +105,12 @@ class TestMhStep:
         scales = ProposalScales(axis_angle=0.08)
         model = template("rotational")
         start = Rotational((0.5, 0.5, 0.5), (0.5, 0.0, 0.0))
-        state = SamplerState(start, model.noise_var, 0.0,
-                             log_prior(start, priors))
+        state = SamplerState(start.to_vector(), 0.0, log_prior(start, priors))
         rng = _StubRng(normals=[0.0, 0.0, 0.0, -0.5 / 0.08, 0.0, 0.0],
                        uniforms=[1.0 - 1e-12])
         new_state, accepted = mh_step(state, None, model, priors, scales, rng)
         assert accepted
-        np.testing.assert_allclose(new_state.params.axis_angle, 0.0,
-                                   atol=1e-15)
+        np.testing.assert_allclose(new_state.x[3:6], 0.0, atol=1e-15)
         assert new_state.log_prior > state.log_prior
 
     def test_invalid_proposal_rejected_without_uniform(self):
@@ -139,11 +137,12 @@ class TestMhStep:
             accepted_any = accepted_any or accepted
         assert accepted_any
         from rotgp.gp import log_marginal_likelihood
-        model_now = GPModel(model.profile, state.params, state.noise_var)
+        params, noise_var = Ard.from_row(state.x, model.noise_var)
+        model_now = GPModel(model.profile, params, noise_var)
         assert state.log_lik == pytest.approx(
             log_marginal_likelihood(model_now, data), abs=1e-10)
         assert state.log_prior == pytest.approx(
-            log_prior(state.params, priors), abs=1e-12)
+            log_prior(params, priors), abs=1e-12)
 
 
 class TestRunChain:
@@ -296,6 +295,30 @@ class TestPriorSampling:
         norms = np.linalg.norm(rng.normal(0.0, sd_a, (200_000, 3)), axis=1)
         ks = ks_2samp(angles, norms).statistic
         assert ks < 0.05
+
+    def test_spd_and_log_noise_marginals_match_gaussian_priors(self):
+        # The moves no other test covers: the spd diagonal walks on the log
+        # scale with its prior on log d (no Jacobian), the off-diagonal
+        # additively, and the sampled noise as exp(log x + eps) with its
+        # prior on log x. Each marginal, on the scale its prior is declared
+        # on, must be that Gaussian; a Jacobian on the diagonal would shift
+        # the mean of log d by 1.5^2, about eighty standard errors.
+        priors = Priors()
+        cfg = ChainConfig(n_iters=40_000, burn_in=2_000, seed=14, thin=1,
+                          block_updates=True, sample_noise=True)
+        chain = run_chain(cfg, None, template("spd"), priors,
+                          ProposalScales(spd=1.6, log_noise=2.5))
+        s = chain.states
+        marginals = ([(np.log(s[:, j]), 0.0, priors.spd_logdiag_sd)
+                      for j in range(3)]
+                     + [(s[:, j], 0.0, priors.spd_offdiag_sd)
+                        for j in range(3, 6)]
+                     + [(np.log(s[:, 6]), priors.log_noise_mean,
+                         priors.log_noise_sd)])
+        for draws, mean, sd in marginals:
+            se = sd / math.sqrt(effective_sample_size(draws))
+            assert abs(draws.mean() - mean) < 3 * se
+            assert abs(draws.std(ddof=1) - sd) < 0.1 * sd
 
     def test_toy_normal_mean_and_sd(self):
         # Detailed-balance smoke test on an effectively 1-parameter normal

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from rotgp.config import SCHEMAS, ConfigError, metric_params_from_dict
-from rotgp.mcmc import Priors
+from rotgp.gp import GPModel
+from rotgp.kernels import SquaredExponential
+from rotgp.mcmc import ChainConfig, Priors, ProposalScales, run_chain
 from rotgp.metric import (SPECS, Ard, CholeskySpd, InvalidParamsError,
                           NotSpdError, Rotational, build_metric, eigen_summary,
                           misalignment_angles, spec_for_columns)
@@ -255,6 +258,18 @@ class TestMisalignmentAngles:
 def test_spec_layout_and_io(spec):
     start = spec.prior_mean(Priors())
     assert len(spec.names) == start.to_vector().size
+    # one table row per dataclass field; the blocks the sampler derives from
+    # them are the acceptance-rate keys of summary.json and fit's output
+    assert list(spec.table) == [f.name for f in fields(spec)]
+    chain = run_chain(ChainConfig(n_iters=1, burn_in=0, thin=1,
+                                  block_updates=True, sample_noise=True),
+                      None, GPModel(SquaredExponential(), start, 0.01),
+                      Priors(), ProposalScales())
+    assert tuple(chain.proposal_counts) == {
+        "ard": ("lengthscales", "noise"),
+        "rotational": ("lengthscales", "axis_angle", "noise"),
+        "spd": ("cholesky", "noise"),
+    }[spec.kind]
     # each model's experiment fit seed has its own offset
     offsets = [other.seed_offset for other in SPECS.values()]
     assert isinstance(spec.seed_offset, int)
