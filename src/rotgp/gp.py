@@ -16,6 +16,9 @@ from .metric import MetricParams, build_metric
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Test points per block of ``predict``; see its docstring.
+PREDICT_BLOCK = 128
+
 
 @dataclass
 class Dataset:
@@ -82,6 +85,18 @@ def log_marginal_likelihood(model: GPModel, data: Dataset) -> float:
 def predict(model: GPModel, train: Dataset, X_test) -> PredictiveResult:
     """Closed-form posterior predictive mean and variance at test inputs.
 
+    The training Gram is factorized once. The m test points are then taken
+    ``PREDICT_BLOCK`` rows at a time: each block's cross-Gram gives its
+    means and is solved in place against the factor for its variances. So
+    besides the two m-long outputs, a call holds the n×n factor and one
+    block of about ``PREDICT_BLOCK``×n doubles, whatever m is.
+
+    ``PREDICT_BLOCK`` is a multiple of 64, so each block starts where the
+    BLAS matrix-vector product over all m rows would start a new group of
+    rows: every mean keeps the bytes of that one product (a 250-row block
+    changed their last bits). The variances keep theirs because each
+    column of the triangular solve is computed on its own.
+
     The variance includes the observation noise and is floored at
     ``noise_var`` to absorb round-off.
     """
@@ -89,11 +104,20 @@ def predict(model: GPModel, train: Dataset, X_test) -> PredictiveResult:
     M = build_metric(model.params)
     gm = gram(model.profile, M, train.X, model.noise_var)
     C = gm.chol_lower
-    Ks = cross_gram(model.profile, M, X_test, train.X)
     alpha = cho_solve((C, True), train.y, check_finite=False)
-    mean = Ks @ alpha
-    V = solve_triangular(C, Ks.T, lower=True, overwrite_b=True,
-                         check_finite=False)
-    var = 1.0 + model.noise_var - np.einsum("ij,ij->j", V, V)
+    m = X_test.shape[0]
+    mean = np.empty(m)
+    explained = np.empty(m)
+    # A lone last row joins the block before it: BLAS would take it through
+    # its one-row kernels, whose last bits differ.
+    edges = [*range(0, max(m - 1, 1), PREDICT_BLOCK), m]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        Ks = cross_gram(model.profile, M, X_test[rows], train.X)
+        mean[rows] = Ks @ alpha
+        V = solve_triangular(C, Ks.T, lower=True, overwrite_b=True,
+                             check_finite=False)
+        np.einsum("ij,ij->j", V, V, out=explained[rows])
+    var = 1.0 + model.noise_var - explained
     var = np.maximum(var, model.noise_var)
     return PredictiveResult(mean=mean, var=var)

@@ -101,6 +101,9 @@ class ChainConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_iters")
         if self.thin < 1:
             raise ValueError("thin must be positive")
+        if (self.n_iters - self.burn_in) // self.thin < 1:
+            raise ValueError("the chain keeps no samples: "
+                             "(n_iters - burn_in) // thin must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -231,10 +234,16 @@ def _walk_rows(spec: type, sample_noise: bool) -> tuple:
 
 def _score(x: np.ndarray, model: GPModel, priors: Priors,
            data: Dataset | None) -> SamplerState:
-    """The state at ``x``; its likelihood is -inf, uncomputed, if its prior is."""
+    """The state at ``x``; its likelihood is -inf, uncomputed, if its prior
+    is. A sampled noise variance that is not finite and positive, as a walk
+    that overflowed or underflowed leaves it, has prior -inf."""
     spec = type(model.params)
     params, noise_var = spec.from_row(x, model.noise_var)
-    log_nv = math.log(noise_var) if x.size > len(spec.names) else None
+    log_nv = None
+    if x.size > len(spec.names):
+        if not 0.0 < noise_var < math.inf:
+            return SamplerState(x, _NEG_INF, _NEG_INF)
+        log_nv = math.log(noise_var)
     lp = log_prior(params, priors, log_noise_var=log_nv)
     ll = _log_lik(model, params, noise_var, data) if lp > _NEG_INF else _NEG_INF
     return SamplerState(x, ll, lp)
@@ -250,12 +259,16 @@ def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
     without further work."""
     spec = type(model.params)
     x, jac = state.x.copy(), 0.0
-    for block, part, step, move in _walk_rows(spec, state.x.size > len(spec.names)):
-        if blocks is None or block in blocks:
-            eps = rng.normal(0.0, getattr(scales, step), part.stop - part.start)
-            x[part] = _MOVES[move](x[part], eps)
-            if move == "jacobian":
-                jac += float(np.sum(eps))
+    rows = _walk_rows(spec, state.x.size > len(spec.names))
+    # a move that overflows lands outside the prior's support, and is
+    # rejected there
+    with np.errstate(over="ignore"):
+        for block, part, step, move in rows:
+            if blocks is None or block in blocks:
+                eps = rng.normal(0.0, getattr(scales, step), part.stop - part.start)
+                x[part] = _MOVES[move](x[part], eps)
+                if move == "jacobian":
+                    jac += float(np.sum(eps))
     new = _score(x, model, priors, data)
     log_alpha = new.log_post - state.log_post + jac
     if log_alpha == _NEG_INF:
@@ -342,8 +355,6 @@ def summarize(chain: Chain) -> PosteriorSummary:
     rotational chains and are identically zero for ARD; the generic SPD
     parameterisation is summarized through the eigendecomposition only.
     """
-    if chain.n_samples == 0:
-        raise ValueError("chain holds no samples")
     stats = {name: _column_stats(chain.states[:, j])
              for j, name in enumerate(chain.param_names)}
 

@@ -617,13 +617,26 @@ class TestExperiment:
         assert marker["stage"] == "fit:ard"
         assert (out / "train.csv").exists()  # earlier outputs retained
 
-    def test_bad_chain_bounds_is_config_error(self, tmp_path):
-        out = tmp_path / "expcfg"
-        cfg = write_json(tmp_path / "xc.json", {
-            "scenario": "d2", "seed": 9, "out_dir": str(out),
-            "n_train": 10, "n_test": 5, "models": ["ard"],
-            "chain": {"n_iters": 100, "burn_in": 100}})
-        assert main(["experiment", "--config", cfg]) == 2
+    def test_bad_chain_bounds_is_config_error(self, dataset_dir, tmp_path):
+        # The second chain is valid on its own bounds but keeps no sample:
+        # (10 - 9) // 5 == 0.
+        chains = [{"n_iters": 100, "burn_in": 100},
+                  {"n_iters": 10, "burn_in": 9, "thin": 5}]
+        for i, chain in enumerate(chains):
+            out = tmp_path / f"expcfg{i}"
+            cfg = write_json(tmp_path / f"xc{i}.json", {
+                "scenario": "d2", "seed": 9, "out_dir": str(out),
+                "n_train": 10, "n_test": 5, "models": ["ard"],
+                "chain": chain})
+            assert main(["experiment", "--config", cfg]) == 2
+            assert not (out / "ard").exists()
+
+            fit_out = tmp_path / f"fit{i}"
+            cfg = write_json(tmp_path / f"f{i}.json", {
+                "train_csv": str(dataset_dir / "train.csv"), "model": "ard",
+                "chain": chain, "out_dir": str(fit_out)})
+            assert main(["fit", "--config", cfg]) == 2
+            assert not fit_out.exists()
 
 
     def test_invalid_prior_value_fails_before_any_fit(self, tmp_path, capsys):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from rotgp.gp import Dataset, GPModel, log_marginal_likelihood, predict
-from rotgp.kernels import Matern, SquaredExponential, cross_gram, radial_profile
+from rotgp.gp import (PREDICT_BLOCK, Dataset, GPModel, log_marginal_likelihood,
+                      predict)
+from rotgp.kernels import (Matern, SquaredExponential, cross_gram, gram,
+                           radial_profile)
 from rotgp.metric import Ard, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
@@ -150,6 +155,52 @@ class TestPredict:
             mean, var = mvn_conditional(model, train, X_test)
             np.testing.assert_allclose(res.mean, mean, atol=1e-9)
             np.testing.assert_allclose(res.var, var, atol=1e-9)
+        # two full blocks and a remainder
+        model = random_model(rng)
+        train = random_dataset(rng, 8)
+        X_test = rng.uniform(-1, 1, (2 * PREDICT_BLOCK + 7, 3))
+        res = predict(model, train, X_test)
+        mean, var = mvn_conditional(model, train, X_test)
+        np.testing.assert_allclose(res.mean, mean, atol=1e-9)
+        np.testing.assert_allclose(res.var, var, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [2 * PREDICT_BLOCK + 7,
+                                   2 * PREDICT_BLOCK + 1])
+    def test_blocks_match_one_block_bytes(self, m):
+        # Blocks of PREDICT_BLOCK rows give the bytes of one cross-Gram over
+        # every test point solved in one call, also when one row is left.
+        rng = np.random.default_rng(22)
+        model = random_model(rng, noise_var=0.01)
+        train = random_dataset(rng, 60)
+        X_test = rng.uniform(-1.2, 1.2, (m, 3))
+        res = predict(model, train, X_test)
+
+        M = build_metric(model.params)
+        C = gram(model.profile, M, train.X, model.noise_var).chol_lower
+        Ks = cross_gram(model.profile, M, X_test, train.X)
+        mean = Ks @ cho_solve((C, True), train.y)
+        V = solve_triangular(C, Ks.T, lower=True)
+        var = np.maximum(1.0 + model.noise_var - np.einsum("ij,ij->j", V, V),
+                         model.noise_var)
+        assert np.array_equal(res.mean, mean)
+        assert np.array_equal(res.var, var)
+
+    def test_memory_does_not_grow_with_test_points(self):
+        # The working set is the n×n factor plus one block of the
+        # cross-Gram, well under n² + 4·PREDICT_BLOCK·n doubles; holding the
+        # whole m×n cross-Gram at m=4096 would need 6.6 MB.
+        rng = np.random.default_rng(23)
+        n, m = 200, 4096
+        model = random_model(rng, noise_var=0.01)
+        train = random_dataset(rng, n)
+        X_test = rng.uniform(-1, 1, (m, 3))
+        tracemalloc.start()
+        try:
+            predict(model, train, X_test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n * n + 4 * PREDICT_BLOCK * n) * 8
 
     def test_variance_bounds(self):
         rng = np.random.default_rng(18)

@@ -209,6 +209,18 @@ class TestRunChain:
         assert np.all(chain.states[:, -1] > 0)
         assert chain.fixed_noise_var is None
 
+    def test_huge_noise_step_is_rejected_by_the_prior(self):
+        # exp(log x + eps) with |eps| ~ 1000 overflows to inf or underflows
+        # to 0; both are outside the prior's support, and the walk must not
+        # warn (the suite turns RuntimeWarning into an error).
+        cfg = ChainConfig(n_iters=60, burn_in=10, thin=1, seed=4,
+                          sample_noise=True)
+        chain = run_chain(cfg, tiny_data(), template("ard"), Priors(),
+                          ProposalScales(log_noise=1000.0))
+        noise = chain.states[:, -1]
+        assert np.all(np.isfinite(noise)) and np.all(noise > 0)
+        assert np.all(np.isfinite(chain.log_posts))
+
     @pytest.mark.parametrize("kind", ["ard", "rotational", "spd"])
     def test_default_noise_proposal_in_acceptance_window(self, d1_desk_train,
                                                          kind):
