@@ -77,11 +77,11 @@ def cmd_generate(doc: dict) -> int:
     doc = dict(doc)
     doc.setdefault("cube_half_width", 1.0)
     out = doc["out_dir"]
-    _ensure_dir(out)
     generator = cfg.gp_model_from_dict(doc["generator"])
     synth = SyntheticConfig(
         n_train=doc["n_train"], n_test=doc["n_test"], generator=generator,
         seed=doc["seed"], cube_half_width=doc["cube_half_width"])
+    _ensure_dir(out)
     split = generate_synthetic(synth)
     save_csv(os.path.join(out, "train.csv"), split.train)
     save_csv(os.path.join(out, "test.csv"), split.test)
@@ -105,14 +105,13 @@ def _resolve_fit_doc(doc: dict):
                                           "chain config")
     doc["priors"] = cfg.settings_to_dict(priors)
     doc["proposal_scales"] = cfg.settings_to_dict(scales)
-    doc["chain"] = chain_config.to_dict()
+    doc["chain"] = {**cfg.settings_to_dict(chain_config), "rng": RNG_NAME}
     return doc, priors, scales, chain_config
 
 
 def cmd_fit(doc: dict) -> int:
     doc, priors, scales, chain_config = _resolve_fit_doc(doc)
     out = doc["out_dir"]
-    _ensure_dir(out)
     train = load_csv(doc["train_csv"])
     n_raw = train.n
     standardization = None
@@ -125,6 +124,8 @@ def cmd_fit(doc: dict) -> int:
     template = GPModel(profile=profile, params=spec.prior_mean(priors),
                        noise_var=float(doc["noise_sd"]) ** 2)
 
+    # before the chain, so an unwritable directory fails before the long work
+    _ensure_dir(out)
     chain = run_chain(chain_config, train, template, priors, scales)
     summary = summarize(chain)
     chain.to_csv(os.path.join(out, "chain.csv"))
@@ -210,7 +211,6 @@ def cmd_predict(doc: dict) -> int:
     doc = dict(doc)
     doc.setdefault("posterior_mean_of_predictions", False)
     out = doc["out_dir"]
-    _ensure_dir(out)
     train = load_csv(doc["train_csv"])
     X_test, truth = _load_locations(doc["test_csv"])
 
@@ -244,6 +244,7 @@ def cmd_predict(doc: dict) -> int:
     if standardization is not None:
         mean = mean * sd + mu
         var = var * sd ** 2
+    _ensure_dir(out)
     _write_predictions(os.path.join(out, "predictions.csv"),
                        X_test, truth, mean, np.sqrt(var))
     dump_json(os.path.join(out, "resolved-config.json"), doc)
@@ -354,8 +355,17 @@ def cmd_experiment(doc: dict) -> int:
     scenario = doc["scenario"]
     stage = "setup"
     try:
+        # Config errors surface here, before any output but failure.json.
+        stage_docs = _experiment_stage_docs(doc)
+        fit_docs = []
+        for model in doc["models"]:
+            stage = f"fit:{model}"
+            fit_doc = _resolve_fit_doc(stage_docs[model])[0]
+            cfg.validate("fit", fit_doc)
+            fit_docs.append(fit_doc)
+
+        stage = "generate"
         if scenario in ("d1", "d2"):
-            stage = "generate"
             gen_doc = {
                 "n_train": doc["n_train"], "n_test": doc["n_test"],
                 "cube_half_width": doc["cube_half_width"], "seed": doc["seed"],
@@ -365,10 +375,8 @@ def cmd_experiment(doc: dict) -> int:
             cmd_generate(gen_doc)
             planes = None
         else:
-            stage = "generate"
             planes = _generate_plane_holdout(doc)
 
-        stage_docs = _experiment_stage_docs(doc)
         resolved = dict(doc)
         resolved["derived_seeds"] = {
             m: d["chain"]["seed"] for m, d in stage_docs.items()}
@@ -376,16 +384,9 @@ def cmd_experiment(doc: dict) -> int:
             resolved["holdout_planes"] = planes
         dump_json(os.path.join(out, "resolved-config.json"), resolved)
 
-        # Config errors surface here, before any fit starts. A worker that
-        # dies without its results leaves the last model's fit as the stage.
-        fit_docs = []
-        for model in doc["models"]:
-            stage = f"fit:{model}"
-            fit_doc = _resolve_fit_doc(stage_docs[model])[0]
-            cfg.validate("fit", fit_doc)
-            fit_docs.append(fit_doc)
-
-        # one worker per model (at most three), not capped at the CPU count
+        # One worker per model (at most three), not capped at the CPU count.
+        # A worker that dies without its results leaves this stage.
+        stage = f"fit:{doc['models'][-1]}"
         pipeline = functools.partial(_model_pipeline, out, scenario)
         rows = fork_map(pipeline, fit_docs, len(fit_docs))
 

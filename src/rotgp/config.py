@@ -15,6 +15,8 @@ import numpy as np
 
 from .gp import GPModel
 from .kernels import Matern, SquaredExponential
+from .mcmc import (CHAIN_MINIMA, RNG_NAME, ChainConfig, Priors, ProposalScales,
+                   must_be_positive)
 from .metric import SPECS, MetricParams
 
 
@@ -24,6 +26,8 @@ class ConfigError(ValueError):
 
 _ARRAY3 = {"type": "array", "items": {"type": "number"},
            "minItems": 3, "maxItems": 3}
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 _PROFILE = {
     "type": "object",
@@ -44,50 +48,37 @@ _MODEL_SPEC = {
         "model": _MODEL,
         "profile": _PROFILE,
         **{f.name: _ARRAY3 for spec in SPECS.values() for f in fields(spec)},
-        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
+        "noise_sd": _POSITIVE,
     },
     "required": ["model", "profile", "noise_sd"],
     "additionalProperties": False,
 }
 
-_PRIORS = {
-    "type": "object",
-    "properties": {
-        "lengthscale_mean": _ARRAY3,
-        "lengthscale_sd": _ARRAY3,
-        "axis_angle_sd": {"type": "number", "exclusiveMinimum": 0},
-        "spd_logdiag_sd": {"type": "number", "exclusiveMinimum": 0},
-        "spd_offdiag_sd": {"type": "number", "exclusiveMinimum": 0},
-        "log_noise_mean": {"type": "number"},
-        "log_noise_sd": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
 
-_SCALES = {
-    "type": "object",
-    "properties": {
-        "log_lengthscale": {"type": "number", "exclusiveMinimum": 0},
-        "axis_angle": {"type": "number", "exclusiveMinimum": 0},
-        "spd": {"type": "number", "exclusiveMinimum": 0},
-        "log_noise": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
+def _field_schema(f) -> dict:
+    if f.type is np.ndarray:
+        return _ARRAY3
+    if f.type is bool:
+        return {"type": "boolean"}
+    if f.type is int:
+        return {"type": "integer", "minimum": CHAIN_MINIMA[f.name]}
+    return _POSITIVE if must_be_positive(f.name) else {"type": "number"}
 
-_CHAIN = {
-    "type": "object",
-    "properties": {
-        "n_iters": {"type": "integer", "minimum": 1},
-        "burn_in": {"type": "integer", "minimum": 0},
-        "thin": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "block_updates": {"type": "boolean"},
-        "sample_noise": {"type": "boolean"},
-        "rng": {"const": "pcg64"},
-    },
-    "additionalProperties": False,
-}
+
+def _settings_schema(cls, **pinned) -> dict:
+    """The schema of a settings dataclass, from its fields: 3-vectors are
+    arrays, flags booleans, integers at least their ``CHAIN_MINIMA`` and
+    numbers positive where ``must_be_positive`` says so. ``pinned`` adds
+    keys that have no field."""
+    return {"type": "object",
+            "properties": {**{f.name: _field_schema(f) for f in fields(cls)},
+                           **pinned},
+            "additionalProperties": False}
+
+
+_PRIORS = _settings_schema(Priors)
+_SCALES = _settings_schema(ProposalScales)
+_CHAIN = _settings_schema(ChainConfig, rng={"const": RNG_NAME})
 
 GENERATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -96,7 +87,7 @@ GENERATE_SCHEMA = {
     "properties": {
         "n_train": {"type": "integer", "minimum": 1},
         "n_test": {"type": "integer", "minimum": 1},
-        "cube_half_width": {"type": "number", "exclusiveMinimum": 0},
+        "cube_half_width": _POSITIVE,
         "seed": {"type": "integer", "minimum": 0},
         "generator": _MODEL_SPEC,
         "out_dir": {"type": "string"},
@@ -113,7 +104,7 @@ FIT_SCHEMA = {
         "train_csv": {"type": "string"},
         "model": _MODEL,
         "profile": _PROFILE,
-        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
+        "noise_sd": _POSITIVE,
         "standardize": {"type": "boolean"},
         "priors": _PRIORS,
         "proposal_scales": _SCALES,
@@ -170,9 +161,9 @@ EXPERIMENT_SCHEMA = {
         },
         "n_train": {"type": "integer", "minimum": 1},
         "n_test": {"type": "integer", "minimum": 1},
-        "cube_half_width": {"type": "number", "exclusiveMinimum": 0},
+        "cube_half_width": _POSITIVE,
         "generator": _MODEL_SPEC,
-        "noise_sd": {"type": "number", "exclusiveMinimum": 0},
+        "noise_sd": _POSITIVE,
         "standardize": {"type": "boolean"},
         "priors": _PRIORS,
         "proposal_scales": _SCALES,
@@ -248,8 +239,8 @@ GENERATE_PRESETS = {
     "d2": {**_FULL_DATA, "seed": 2, "generator": _D2_GENERATOR},
 }
 
-_DESK_CHAIN = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
-               "block_updates": False, "sample_noise": False}
+# The default chain; an experiment derives each model's seed from its own.
+_DESK_CHAIN = {k: v for k, v in vars(ChainConfig()).items() if k != "seed"}
 
 # The rotational model updates six coupled coordinates per joint proposal,
 # so desk-scale runs need smaller steps than the three-parameter baselines

@@ -28,6 +28,10 @@ from .table import DataFormatError, read_table, write_table
 
 RNG_NAME = "pcg64"
 
+# The least value of each integer setting of ``ChainConfig``; the chain
+# schema reads it too.
+CHAIN_MINIMA = {"n_iters": 1, "burn_in": 0, "seed": 0, "thin": 1}
+
 # Acceptance rates outside this window flag the run for inspection; they do
 # not fail it.
 ACCEPT_RATE_WINDOW = (0.05, 0.7)
@@ -37,6 +41,18 @@ _NEG_INF = float("-inf")
 
 class ChainInitError(RuntimeError):
     """Initial sampler state has an invalid (-inf) posterior."""
+
+
+def must_be_positive(name: str) -> bool:
+    """Whether a float setting must be positive: a prior's sd and each
+    random-walk step are scales; only a prior's mean may take any value."""
+    return not name.endswith("_mean")
+
+
+def _check_positive(settings) -> None:
+    for f in fields(settings):
+        if must_be_positive(f.name) and not np.all(getattr(settings, f.name) > 0.0):
+            raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass
@@ -56,9 +72,7 @@ class Priors:
     def __post_init__(self):
         self.lengthscale_mean = np.asarray(self.lengthscale_mean, dtype=float)
         self.lengthscale_sd = np.asarray(self.lengthscale_sd, dtype=float)
-        for f in fields(self):
-            if f.name.endswith("_sd") and not np.all(getattr(self, f.name) > 0.0):
-                raise ValueError(f"{f.name} must be positive")
+        _check_positive(self)
 
 
 @dataclass
@@ -78,9 +92,7 @@ class ProposalScales:
     log_noise: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be positive")
+        _check_positive(self)
 
 
 @dataclass
@@ -95,20 +107,14 @@ class ChainConfig:
     sample_noise: bool = False
 
     def __post_init__(self):
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be positive")
-        if not 0 <= self.burn_in < self.n_iters:
+        for name, least in CHAIN_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if not self.burn_in < self.n_iters:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_iters")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
         if (self.n_iters - self.burn_in) // self.thin < 1:
             raise ValueError("the chain keeps no samples: "
                              "(n_iters - burn_in) // thin must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "rng": RNG_NAME}
 
 
 @dataclass

@@ -12,7 +12,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from rotgp.cli import _load_locations, _read_predictions, main
-from rotgp.config import SCHEMAS, ConfigError, validate
+from rotgp.config import EXPERIMENT_PRESETS, SCHEMAS, ConfigError, validate
 from rotgp.data import load_csv
 from rotgp.mcmc import load_chain_csv
 
@@ -159,12 +159,6 @@ class TestFit:
         assert main(["fit", "--config", str(resolved),
                      "--out", str(out3)]) == 0
         assert (out3 / "chain.csv").read_bytes() == runs[0]
-
-    def test_missing_train_csv_exits_2(self, tmp_path):
-        cfg = write_json(tmp_path / "f.json", {
-            "train_csv": str(tmp_path / "missing.csv"), "model": "ard",
-            "out_dir": str(tmp_path / "o")})
-        assert main(["fit", "--config", cfg]) == 2
 
     def test_non_finite_train_cell_exits_2(self, dataset_dir, tmp_path, capsys):
         lines = (dataset_dir / "train.csv").read_text().splitlines()
@@ -511,13 +505,6 @@ class TestPredict:
         assert abs(np.mean(rows[:, 4]) - 100.0) < 10.0
         assert np.all(rows[:, 5] < 20.0)
 
-    def test_missing_model_source_exits_2(self, dataset_dir, tmp_path):
-        cfg = write_json(tmp_path / "p.json", {
-            "train_csv": str(dataset_dir / "train.csv"),
-            "test_csv": str(dataset_dir / "test.csv"),
-            "out_dir": str(tmp_path / "o")})
-        assert main(["predict", "--config", cfg]) == 2
-
 
 class TestEvaluate:
     @pytest.fixture()
@@ -617,6 +604,17 @@ class TestExperiment:
         assert marker["stage"] == "fit:ard"
         assert (out / "train.csv").exists()  # earlier outputs retained
 
+    def test_preset_chains(self):
+        desk = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
+                "block_updates": False, "sample_noise": False}
+        assert {name: preset["chain"]
+                for name, preset in EXPERIMENT_PRESETS.items()} == {
+            "d1": desk,
+            "d2": desk,
+            "plane-holdout": {"n_iters": 12_000, "burn_in": 6_000, "thin": 5,
+                              "block_updates": False, "sample_noise": False},
+        }
+
     def test_bad_chain_bounds_is_config_error(self, dataset_dir, tmp_path):
         # The second chain is valid on its own bounds but keeps no sample:
         # (10 - 9) // 5 == 0.
@@ -629,7 +627,10 @@ class TestExperiment:
                 "n_train": 10, "n_test": 5, "models": ["ard"],
                 "chain": chain})
             assert main(["experiment", "--config", cfg]) == 2
-            assert not (out / "ard").exists()
+            # the fit settings are checked before any data are generated
+            assert os.listdir(out) == ["failure.json"]
+            marker = json.loads((out / "failure.json").read_text())
+            assert marker["stage"] == "fit:ard"
 
             fit_out = tmp_path / f"fit{i}"
             cfg = write_json(tmp_path / f"f{i}.json", {
@@ -651,7 +652,7 @@ class TestExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
         marker = json.loads((out / "failure.json").read_text())
         assert marker == {"stage": "fit:spd", "error": message}
-        assert not (out / "spd").exists()
+        assert os.listdir(out) == ["failure.json"]
 
     def test_output_in_model_order_and_reproducible(self, tmp_path, capsys):
         out = tmp_path / "exporder"
@@ -889,6 +890,48 @@ class TestSchemas:
     def test_seed_flag_applies_where_meaningful(self, tmp_path):
         assert main(["evaluate", "--config", "x.json",
                      "--seed", "3"]) == 2  # seed not applicable => config error
+
+
+_MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
+                      "lengthscales": [0.4, 0.3, 0.5], "noise_sd": 0.1}
+
+
+@pytest.mark.parametrize("case", [
+    "generate-matern", "fit-missing-train", "fit-matern",
+    "predict-missing-summary", "predict-matern", "predict-no-model-source"])
+def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
+                                            case):
+    # Every input is read and every setting built before the output
+    # directory is made.
+    train = str(dataset_dir / "train.csv")
+    test = str(dataset_dir / "test.csv")
+    missing = str(tmp_path / "missing")
+    no_file = f"[Errno 2] No such file or directory: '{missing}'"
+    no_nu = "matern profile requires 'nu'"
+    command, doc, error = {
+        "generate-matern": ("generate", {
+            "n_train": 5, "n_test": 5, "seed": 0,
+            "generator": _MATERN_WITHOUT_NU}, no_nu),
+        "fit-missing-train": ("fit", {
+            "train_csv": missing, "model": "ard"}, no_file),
+        "fit-matern": ("fit", {
+            "train_csv": train, "model": "ard",
+            "profile": {"type": "matern"}}, no_nu),
+        "predict-missing-summary": ("predict", {
+            "train_csv": train, "test_csv": test,
+            "summary_json": missing}, no_file),
+        "predict-matern": ("predict", {
+            "train_csv": train, "test_csv": test,
+            "model_params": _MATERN_WITHOUT_NU}, no_nu),
+        "predict-no-model-source": ("predict", {
+            "train_csv": train, "test_csv": test},
+            "predict needs either summary_json or model_params"),
+    }[case]
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

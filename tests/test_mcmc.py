@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from scipy.stats import ks_2samp
 from rotgp.data import SyntheticConfig, generate_synthetic
 from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import SquaredExponential
-from rotgp.mcmc import (ACCEPT_RATE_WINDOW, Chain, ChainConfig,
-                        ChainInitError, Priors, ProposalScales,
+from rotgp.mcmc import (ACCEPT_RATE_WINDOW, CHAIN_MINIMA, Chain,
+                        ChainConfig, ChainInitError, Priors, ProposalScales,
                         effective_sample_size, initial_state,
-                        load_chain_csv, log_prior, mh_step, run_chain,
-                        summarize)
+                        load_chain_csv, log_prior, mh_step, must_be_positive,
+                        run_chain, summarize)
 from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
 from rotgp.so3 import exp_so3, geodesic_angle
 
@@ -143,6 +144,22 @@ class TestMhStep:
             log_marginal_likelihood(model_now, data), abs=1e-10)
         assert state.log_prior == pytest.approx(
             log_prior(params, priors), abs=1e-12)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("name, least", CHAIN_MINIMA.items())
+    def test_chain_setting_below_its_minimum_rejected(self, name, least):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be at least {least}$"):
+            ChainConfig(**{name: least - 1})
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name) for cls in (Priors, ProposalScales)
+        for f in fields(cls) if must_be_positive(f.name)])
+    def test_scale_setting_must_be_positive(self, cls, name):
+        # zero in the default's shape: 0.0, or an array of zeros
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            cls(**{name: getattr(cls(), name) * 0.0})
 
 
 class TestRunChain:
