@@ -24,7 +24,8 @@ from .fork import fork_map, usable_cpus
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
 from .mcmc import (RNG_NAME, ChainConfig, ChainInitError, Priors,
-                   ProposalScales, load_chain_csv, run_chain, summarize)
+                   ProposalScales, load_chain_csv, prior_mean, run_chain,
+                   summarize)
 from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
 from .metrics import (FIELDS, append_ledger_row, compute_metrics,
                       write_metrics_json)
@@ -121,7 +122,8 @@ def cmd_fit(doc: dict) -> int:
 
     profile = cfg.profile_from_dict(doc["profile"])
     spec = SPECS[doc["model"]]
-    template = GPModel(profile=profile, params=spec.prior_mean(priors),
+    template = GPModel(profile=profile,
+                       params=spec.from_vector(prior_mean(spec, priors)),
                        noise_var=float(doc["noise_sd"]) ** 2)
 
     # before the chain, so an unwritable directory fails before the long work
@@ -155,17 +157,24 @@ def cmd_fit(doc: dict) -> int:
     return 0
 
 
-def _model_from_summary(sdoc: dict):
-    model_doc = sdoc["model"]
-    params = cfg.metric_params_from_dict(sdoc["posterior_mean_params"])
-    noise_sd = model_doc["noise_sd"]
-    if noise_sd is not None:
-        noise_var = float(noise_sd) ** 2
-    else:
-        noise_var = float(sdoc["posterior_mean_noise_var"])
-    model = GPModel(profile=cfg.profile_from_dict(model_doc["profile"]),
-                    params=params, noise_var=noise_var)
-    return model, sdoc.get("standardization")
+def _model_from_summary(path):
+    """The plug-in model a fit's summary file holds, and its standardization
+    ``(mean, sd)`` or None; a file that is no fit summary is a config error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            sdoc = json.load(f)
+        model_doc, std = sdoc["model"], sdoc.get("standardization")
+        noise_sd = model_doc["noise_sd"]
+        model = GPModel(
+            profile=cfg.profile_from_dict(model_doc["profile"]),
+            params=cfg.metric_params_from_dict(sdoc["posterior_mean_params"]),
+            noise_var=(float(sdoc["posterior_mean_noise_var"])
+                       if noise_sd is None else float(noise_sd) ** 2))
+        return model, None if std is None else (std["mean"], std["sd"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: not a fit summary: no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a fit summary: {exc}") from None
 
 
 def _sample_predictive(spec, profile, fixed_noise_var, train, X_test, row):
@@ -215,9 +224,7 @@ def cmd_predict(doc: dict) -> int:
     X_test, truth = _load_locations(doc["test_csv"])
 
     if "summary_json" in doc:
-        with open(doc["summary_json"], encoding="utf-8") as f:
-            sdoc = json.load(f)
-        model, standardization = _model_from_summary(sdoc)
+        model, standardization = _model_from_summary(doc["summary_json"])
     elif "model_params" in doc:
         model = cfg.gp_model_from_dict(doc["model_params"])
         standardization = None
@@ -225,7 +232,7 @@ def cmd_predict(doc: dict) -> int:
         raise ConfigError("predict needs either summary_json or model_params")
 
     if standardization is not None:
-        mu, sd = standardization["mean"], standardization["sd"]
+        mu, sd = standardization
         train = Dataset(train.X, (train.y - mu) / sd)
 
     if doc["posterior_mean_of_predictions"]:

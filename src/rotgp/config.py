@@ -203,8 +203,12 @@ SCHEMAS = {
 
 # Built once: ``jsonschema.validate`` checks the schema against its metaschema
 # on every call, which costs far more than the document; the tests check it.
-_VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema)
-               for name, schema in SCHEMAS.items()}
+# JSON Schema counts 20.0 as an integer, where the code needs a Python int.
+_DRAFT = jsonschema.Draft202012Validator
+_Validator = jsonschema.validators.extend(
+    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+_VALIDATORS = {name: _Validator(schema) for name, schema in SCHEMAS.items()}
 
 _D1_GENERATOR = {
     "model": "rotational",

@@ -2,13 +2,15 @@
 
 The sampler is generic. Its state is one flat vector ``x``, laid out as a
 stored chain row: the spec's ``names``, then ``noise_var`` when noise is
-sampled. One walk moves the fields of the blocks being updated, each as its
-row in the spec's table says (see :mod:`rotgp.metric`), and the same table
-gives the Gaussian prior on the raw coordinates. The noise is this module's
-own row (block ``noise``, step ``log_noise``): walked as ``exp(log x + eps)``,
-with its prior on log noise variance. The length-scales' prior lives on the
-raw coordinate, so their log-scale walk carries the log-proposal Jacobian in
-the acceptance ratio and the target density is unchanged.
+sampled. :func:`layout` pairs each part of ``x`` with the ``metric.Row``
+that governs it: the spec's table declares one per field (see
+:mod:`rotgp.metric`), and the noise's is this module's own ``_NOISE``. The
+walk, the log prior and the prior-mean start all go through that layout, the
+same way for every part: a row's move (``_MOVES``) gives the walk's step, the
+coordinate the Gaussian prior is on and that coordinate's inverse, which maps
+the prior mean to the start. The length-scales' prior lives on the raw
+coordinate, so their log-scale walk carries the log-proposal Jacobian in the
+acceptance ratio and the target density is unchanged.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order.
@@ -22,8 +24,8 @@ import numpy as np
 
 from .gp import Dataset, GPModel, log_marginal_likelihood
 from .kernels import GramFactorizationError
-from .metric import (SPECS, AnisotropySummary, MetricParams, build_metric,
-                     eigen_summary, normal_logpdf)
+from .metric import (SPECS, AnisotropySummary, MetricParams, Row,
+                     build_metric, eigen_summary)
 from .table import DataFormatError, read_table, write_table
 
 RNG_NAME = "pcg64"
@@ -37,6 +39,7 @@ CHAIN_MINIMA = {"n_iters": 1, "burn_in": 0, "seed": 0, "thin": 1}
 ACCEPT_RATE_WINDOW = (0.05, 0.7)
 
 _NEG_INF = float("-inf")
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class ChainInitError(RuntimeError):
@@ -58,8 +61,8 @@ def _check_positive(settings) -> None:
 @dataclass
 class Priors:
     """Independent Gaussian priors: the sd, and the mean or zero, that each
-    row of a spec's table names, on the coordinate its move gives (see
-    ``metric.Row``), and the noise's, on log noise variance."""
+    row of a :func:`layout` names, on the coordinate its move gives: log
+    noise variance for the noise's row, ``_NOISE``."""
 
     lengthscale_mean: np.ndarray = (0.5, 0.5, 0.5)
     lengthscale_sd: np.ndarray = (0.5, 0.5, 0.5)
@@ -192,66 +195,77 @@ class PosteriorSummary:
                 "flags": list(self.flags)}
 
 
-def log_prior(params: MetricParams, priors: Priors,
-              log_noise_var: float | None = None) -> float:
-    """Sum of Gaussian log prior densities on the raw coordinates, with the
-    noise's on ``log_noise_var`` when it is given.
+# Each move by name: its walk of x by eps, the coordinate its prior is on and
+# that coordinate's inverse, and whether x must be positive. ``add`` walks
+# x + eps with the prior on x; ``scale`` x * exp(eps) with the prior on log x;
+# ``jacobian`` x * exp(eps) with the prior on x > 0, so the acceptance ratio
+# carries the log-proposal Jacobian sum(eps). ``log`` is the noise's: it keeps
+# the bytes of exp(log x + eps), which x * exp(eps) would change in the last
+# bits, and takes its prior's log and its start's exp from Python's math,
+# whose last bits numpy's log and exp do not always match.
+_MOVES = {"add": (lambda x, eps: x + eps, np.asarray, np.asarray, False),
+          "scale": (lambda x, eps: x * np.exp(eps), np.log, np.exp, True),
+          "jacobian": (lambda x, eps: x * np.exp(eps), np.asarray, np.asarray,
+                       True),
+          "log": (lambda x, eps: np.exp(np.log(x) + eps),
+                  lambda v: np.array([math.log(t) for t in v]),
+                  lambda v: np.array([math.exp(t) for t in v]), True)}
 
-    Returns -inf for states violating positivity or finiteness, which the
-    sampler reads as an automatic rejection.
-    """
-    total = params.log_prior(priors)
-    if log_noise_var is not None:
-        total += float(normal_logpdf(log_noise_var, priors.log_noise_mean,
-                                     priors.log_noise_sd))
-    return total
-
-
-def _log_lik(model: GPModel, params: MetricParams, noise_var: float,
-             data: Dataset | None) -> float:
-    if data is None:
-        return 0.0
-    try:
-        candidate = GPModel(profile=model.profile, params=params, noise_var=noise_var)
-        return log_marginal_likelihood(candidate, data)
-    except (GramFactorizationError, np.linalg.LinAlgError):
-        # unfactorizable proposals are rejected, not fatal
-        return _NEG_INF
-
-
-# The walk's moves by name; "log" is the noise's, which keeps the bytes of
-# exp(log x + eps) that x * exp(eps) would change in the last bits.
-_MOVES = {"add": lambda x, eps: x + eps,
-          "scale": lambda x, eps: x * np.exp(eps),
-          "jacobian": lambda x, eps: x * np.exp(eps),
-          "log": lambda x, eps: np.exp(np.log(x) + eps)}
+_NOISE = Row("noise", "log_noise", "log", "log_noise_sd", "log_noise_mean")
 
 
 @functools.cache
-def _walk_rows(spec: type, sample_noise: bool) -> tuple:
-    """``(block, slice of x, step, move)`` per field, in layout order."""
-    rows = [(row.block, slice(i, i + 3), row.step, row.move)
-            for i, row in zip(range(0, len(spec.names), 3), spec.table.values())]
+def layout(spec: type, sample_noise: bool) -> tuple:
+    """``(slice of x, Row)`` per part of a chain row: three entries per row
+    of the spec's table, in ``names`` order, then the noise variance's one
+    when it is sampled."""
+    parts = [(slice(3 * i, 3 * i + 3), row)
+             for i, row in enumerate(spec.table.values())]
     if sample_noise:
-        n = len(spec.names)
-        rows.append(("noise", slice(n, n + 1), "log_noise", "log"))
-    return tuple(rows)
+        parts.append((slice(len(spec.names), len(spec.names) + 1), _NOISE))
+    return tuple(parts)
+
+
+def log_prior(x: np.ndarray, spec: type, priors: Priors) -> float:
+    """Sum of each part's Gaussian log prior, on the coordinate its move
+    gives. Returns -inf when a part is not finite, or not positive where its
+    move needs it, which the sampler reads as an automatic rejection."""
+    total = 0.0
+    for part, row in layout(spec, x.size > len(spec.names)):
+        v, (_, coord, _, positive) = x[part], _MOVES[row.move]
+        if not (np.all(np.isfinite(v)) and (not positive or np.all(v > 0.0))):
+            return _NEG_INF
+        sd = getattr(priors, row.sd)
+        z = (coord(v) - (getattr(priors, row.mean) if row.mean else 0.0)) / sd
+        total += float(np.sum(-0.5 * z * z - np.log(sd) - _HALF_LOG_2PI))
+    return total
+
+
+def prior_mean(spec: type, priors: Priors,
+               sample_noise: bool = False) -> np.ndarray:
+    """The start ``x``: each part's prior mean, mapped back from its prior's
+    coordinate; the identity rotation, the unit Cholesky diagonal and
+    ``exp(log_noise_mean)`` among them."""
+    x = np.empty(len(spec.names) + sample_noise)
+    for part, row in layout(spec, sample_noise):
+        mean = getattr(priors, row.mean) if row.mean else 0.0
+        x[part] = _MOVES[row.move][2](np.full(part.stop - part.start, mean))
+    return x
 
 
 def _score(x: np.ndarray, model: GPModel, priors: Priors,
            data: Dataset | None) -> SamplerState:
     """The state at ``x``; its likelihood is -inf, uncomputed, if its prior
-    is. A sampled noise variance that is not finite and positive, as a walk
-    that overflowed or underflowed leaves it, has prior -inf."""
+    is, and 0 with no data."""
     spec = type(model.params)
-    params, noise_var = spec.from_row(x, model.noise_var)
-    log_nv = None
-    if x.size > len(spec.names):
-        if not 0.0 < noise_var < math.inf:
-            return SamplerState(x, _NEG_INF, _NEG_INF)
-        log_nv = math.log(noise_var)
-    lp = log_prior(params, priors, log_noise_var=log_nv)
-    ll = _log_lik(model, params, noise_var, data) if lp > _NEG_INF else _NEG_INF
+    lp, ll = log_prior(x, spec, priors), _NEG_INF
+    if lp > _NEG_INF:
+        params, noise_var = spec.from_row(x, model.noise_var)
+        try:
+            ll = 0.0 if data is None else log_marginal_likelihood(
+                GPModel(model.profile, params, noise_var), data)
+        except (GramFactorizationError, np.linalg.LinAlgError):
+            pass  # unfactorizable proposals are rejected, not fatal
     return SamplerState(x, ll, lp)
 
 
@@ -265,15 +279,15 @@ def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
     without further work."""
     spec = type(model.params)
     x, jac = state.x.copy(), 0.0
-    rows = _walk_rows(spec, state.x.size > len(spec.names))
     # a move that overflows lands outside the prior's support, and is
     # rejected there
     with np.errstate(over="ignore"):
-        for block, part, step, move in rows:
-            if blocks is None or block in blocks:
-                eps = rng.normal(0.0, getattr(scales, step), part.stop - part.start)
-                x[part] = _MOVES[move](x[part], eps)
-                if move == "jacobian":
+        for part, row in layout(spec, state.x.size > len(spec.names)):
+            if blocks is None or row.block in blocks:
+                eps = rng.normal(0.0, getattr(scales, row.step),
+                                 part.stop - part.start)
+                x[part] = _MOVES[row.move][0](x[part], eps)
+                if row.move == "jacobian":
                     jac += float(np.sum(eps))
     new = _score(x, model, priors, data)
     log_alpha = new.log_post - state.log_post + jac
@@ -286,11 +300,10 @@ def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
 
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   sample_noise: bool = False) -> SamplerState:
-    """Prior-mean start of the template's parameterisation."""
-    x = type(model.params).prior_mean(priors).to_vector()
-    if sample_noise:
-        x = np.append(x, math.exp(priors.log_noise_mean))
-    return _score(x, model, priors, data)
+    """The state at the prior-mean start of the template's
+    parameterisation."""
+    return _score(prior_mean(type(model.params), priors, sample_noise),
+                  model, priors, data)
 
 
 def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
@@ -312,7 +325,8 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     # Each iteration proposes every update group once, in order: all blocks
     # jointly, or one block at a time.
-    blocks = list(dict.fromkeys(r[0] for r in _walk_rows(spec, config.sample_noise)))
+    blocks = list(dict.fromkeys(
+        row.block for _, row in layout(spec, config.sample_noise)))
     groups = ({b: [b] for b in blocks} if config.block_updates
               else {"joint": blocks})
     accept_counts = dict.fromkeys(groups, 0)

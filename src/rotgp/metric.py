@@ -10,10 +10,11 @@ inside a stationary kernel:
 * :class:`CholeskySpd` -- generic lower-triangular factor, ``M = L L^T``.
 
 Each class is the one spec of its parameterisation: parameter names and
-flat-vector layout, a ``table`` with one :class:`Row` per field (its MH update
-block, random-walk step and move, and Gaussian prior), prior-mean start,
-metric builder and dict I/O. ``SPECS`` maps a model name to its class, so the
-sampler, summaries, config and CLI never branch on it.
+flat-vector layout, a ``table`` that declares one :class:`Row` per field (its
+MH update block, random-walk step and move, and Gaussian prior), metric
+builder and dict I/O. :mod:`rotgp.mcmc` walks, scores and starts the fields
+by those rows. ``SPECS`` maps a model name to its class, so the sampler,
+summaries, config and CLI never branch on it.
 
 :func:`eigen_summary` reduces any such metric back to invariant quantities
 (sorted principal ranges, sign-fixed directions, rotation angle from axis
@@ -28,8 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .so3 import exp_so3, geodesic_angle
-
-_NEG_INF = float("-inf")
 
 
 class InvalidParamsError(ValueError):
@@ -49,18 +48,11 @@ def _positive_finite(v: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
 
 
-def normal_logpdf(x, mean, sd):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi)
-
-
 class Row(NamedTuple):
     """A field's MH update ``block``, walk ``step`` (a ``ProposalScales``
-    field) and ``move``, and its Gaussian prior's ``sd`` and ``mean``
-    (``Priors`` fields; no mean is zero). ``add`` moves ``x + eps`` with the
-    prior on x; ``scale`` moves ``x * exp(eps)`` with the prior on log x;
-    ``jacobian`` moves ``x * exp(eps)`` with the prior on x > 0, so the
-    acceptance ratio carries the log-proposal Jacobian ``sum(eps)``."""
+    field) and ``move`` (a key of ``mcmc._MOVES``), and its Gaussian prior's
+    ``sd`` and ``mean`` (``Priors`` fields; no mean is zero) on the
+    coordinate the move gives."""
 
     block: str
     step: str
@@ -74,9 +66,9 @@ _LENGTHSCALES = Row("lengthscales", "log_lengthscale", "jacobian",
 
 
 class _Spec:
-    """Flat-vector and dict I/O and the log prior shared by the specs: each
-    dataclass field is a 3-vector, stored in declaration order under
-    ``names``, and has one row in ``table``, keyed by the field's name."""
+    """Flat-vector and dict I/O shared by the specs: each dataclass field is
+    a 3-vector, stored in declaration order under ``names``, and has one row
+    in ``table``, keyed by the field's name."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -100,15 +92,6 @@ class _Spec:
         return cls.from_vector(row), noise_var
 
     @classmethod
-    def prior_mean(cls, priors):
-        """Each field at its prior's mean, or at exp(mean) for a prior on
-        log x: the identity rotation and the unit Cholesky diagonal."""
-        def centre(row):
-            mean = np.full(3, getattr(priors, row.mean) if row.mean else 0.0)
-            return np.exp(mean) if row.move == "scale" else mean
-        return cls(*map(centre, cls.table.values()))
-
-    @classmethod
     def from_dict(cls, doc: dict):
         """Parameters from a model-spec dict; KeyError names a missing field."""
         return cls(*(doc[f.name] for f in fields(cls)))
@@ -118,20 +101,6 @@ class _Spec:
         for f in fields(self):
             out[f.name] = [float(v) for v in getattr(self, f.name)]
         return out
-
-    def log_prior(self, priors) -> float:
-        """Sum of each field's Gaussian log prior, as its row gives it; -inf
-        when a field is not finite, or not positive under a log-scale move."""
-        total = 0.0
-        for name, row in self.table.items():
-            v = getattr(self, name)
-            if not (np.all(np.isfinite(v)) if row.move == "add"
-                    else _positive_finite(v)):
-                return _NEG_INF
-            mean = getattr(priors, row.mean) if row.mean else 0.0
-            v = np.log(v) if row.move == "scale" else v
-            total += float(np.sum(normal_logpdf(v, mean, getattr(priors, row.sd))))
-        return total
 
 
 @dataclass

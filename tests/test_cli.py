@@ -15,6 +15,7 @@ from rotgp.cli import _load_locations, _read_predictions, main
 from rotgp.config import EXPERIMENT_PRESETS, SCHEMAS, ConfigError, validate
 from rotgp.data import load_csv
 from rotgp.mcmc import load_chain_csv
+from rotgp.table import dump_json
 
 TRAIN_N, TEST_N = 40, 20
 
@@ -772,12 +773,15 @@ def _pids_with_arg(arg: str) -> list[int]:
 
 
 class TestSchemas:
-    def test_shipped_schema_files_match_live(self):
+    def test_shipped_schema_files_match_live(self, tmp_path):
+        # bytes, not parsed JSON: text that parses the same, such as 0
+        # against 0.0, is a difference too
         root = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
         for name, schema in SCHEMAS.items():
-            path = os.path.join(root, f"{name}.schema.json")
-            with open(path, encoding="utf-8") as f:
-                assert json.load(f) == schema
+            live = tmp_path / f"{name}.schema.json"
+            dump_json(live, schema)
+            with open(os.path.join(root, live.name), "rb") as f:
+                assert f.read() == live.read_bytes(), live.name
 
     def test_schemas_are_valid(self):
         root = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
@@ -897,8 +901,10 @@ _MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
 
 
 @pytest.mark.parametrize("case", [
-    "generate-matern", "fit-missing-train", "fit-matern",
-    "predict-missing-summary", "predict-matern", "predict-no-model-source"])
+    "generate-matern", "generate-float-seed", "fit-missing-train",
+    "fit-matern", "fit-float-n-iters", "predict-missing-summary",
+    "predict-summary-not-json", "predict-summary-without-params",
+    "predict-matern", "predict-no-model-source", "experiment-float-n-train"])
 def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
                                             case):
     # Every input is read and every setting built before the output
@@ -908,24 +914,50 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
     missing = str(tmp_path / "missing")
     no_file = f"[Errno 2] No such file or directory: '{missing}'"
     no_nu = "matern profile requires 'nu'"
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("not json\n")
+    without_params = write_json(tmp_path / "without-params.json", {
+        "model": {"model": "ard", "profile": {"type": "se"}, "noise_sd": 0.1}})
+    # JSON Schema counts 20.0 as an integer; the code needs a Python int
+    not_int = "{} config at {}: {} is not of type 'integer'"
     command, doc, error = {
         "generate-matern": ("generate", {
             "n_train": 5, "n_test": 5, "seed": 0,
             "generator": _MATERN_WITHOUT_NU}, no_nu),
+        "generate-float-seed": ("generate", {
+            "n_train": 5, "n_test": 5, "seed": 1.0,
+            "generator": {**_MATERN_WITHOUT_NU, "profile": {"type": "se"}}},
+            "invalid " + not_int.format("generate", "seed", 1.0)),
         "fit-missing-train": ("fit", {
             "train_csv": missing, "model": "ard"}, no_file),
         "fit-matern": ("fit", {
             "train_csv": train, "model": "ard",
             "profile": {"type": "matern"}}, no_nu),
+        "fit-float-n-iters": ("fit", {
+            "train_csv": train, "model": "ard", "chain": {"n_iters": 20.0}},
+            "invalid " + not_int.format("fit", "chain/n_iters", 20.0)),
         "predict-missing-summary": ("predict", {
             "train_csv": train, "test_csv": test,
             "summary_json": missing}, no_file),
+        "predict-summary-not-json": ("predict", {
+            "train_csv": train, "test_csv": test,
+            "summary_json": str(not_json)},
+            f"{not_json}: not a fit summary: "
+            "Expecting value: line 1 column 1 (char 0)"),
+        "predict-summary-without-params": ("predict", {
+            "train_csv": train, "test_csv": test,
+            "summary_json": without_params},
+            f"{without_params}: not a fit summary: "
+            "no 'posterior_mean_params' entry"),
         "predict-matern": ("predict", {
             "train_csv": train, "test_csv": test,
             "model_params": _MATERN_WITHOUT_NU}, no_nu),
         "predict-no-model-source": ("predict", {
             "train_csv": train, "test_csv": test},
             "predict needs either summary_json or model_params"),
+        "experiment-float-n-train": ("experiment", {
+            "scenario": "d2", "seed": 1, "n_train": 30.0, "n_test": 10},
+            "invalid " + not_int.format("experiment", "n_train", 30.0)),
     }[case]
     out = tmp_path / "out"
     cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})

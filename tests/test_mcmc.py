@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from rotgp import mcmc
 from rotgp.data import SyntheticConfig, generate_synthetic
 from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import SquaredExponential
 from rotgp.mcmc import (ACCEPT_RATE_WINDOW, CHAIN_MINIMA, Chain,
                         ChainConfig, ChainInitError, Priors, ProposalScales,
-                        effective_sample_size, initial_state,
+                        _score, effective_sample_size, initial_state,
                         load_chain_csv, log_prior, mh_step, must_be_positive,
-                        run_chain, summarize)
+                        prior_mean, run_chain, summarize)
 from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
 from rotgp.so3 import exp_so3, geodesic_angle
 
@@ -41,41 +42,115 @@ def tiny_data(rng=None, n=12):
     return Dataset(rng.uniform(-1, 1, (n, 3)), rng.standard_normal(n))
 
 
+# Priors away from every default, the noise's mean among them.
+_PRIORS = Priors(lengthscale_mean=(0.3, 0.6, 0.9),
+                 lengthscale_sd=(0.2, 0.4, 0.6), axis_angle_sd=0.7,
+                 spd_logdiag_sd=1.1, spd_offdiag_sd=2.5, log_noise_mean=-4.3,
+                 log_noise_sd=1.7)
+
+
+
+def each_spec_and_noise(test):
+    """Run ``test`` for every spec, with the noise fixed and sampled."""
+    return pytest.mark.parametrize("kind", list(SPECS))(
+        pytest.mark.parametrize("sample_noise", [False, True],
+                                ids=["fixed", "sampled"])(test))
+
+
 class TestLogPrior:
     def test_axis_angle_mode_density(self):
         priors = Priors(axis_angle_sd=0.7)
-        at_mode = log_prior(Rotational((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)), priors)
-        off_mode = log_prior(Rotational((0.5, 0.5, 0.5), (0.3, 0.0, 0.0)), priors)
+        at_mode = log_prior(np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.0]),
+                            Rotational, priors)
+        off_mode = log_prior(np.array([0.5, 0.5, 0.5, 0.3, 0.0, 0.0]),
+                             Rotational, priors)
         expected_gap = gaussian_logpdf(0.0, 0.0, 0.7) - gaussian_logpdf(0.3, 0.0, 0.7)
         assert at_mode - off_mode == pytest.approx(expected_gap, rel=1e-12)
 
     def test_mode_value_decomposes_per_block(self):
         priors = Priors(lengthscale_mean=(0.4, 0.5, 0.6),
                         lengthscale_sd=(0.3, 0.3, 0.3), axis_angle_sd=1.0)
-        value = log_prior(Rotational((0.4, 0.5, 0.6), (0.0, 0.0, 0.0)), priors)
+        value = log_prior(np.array([0.4, 0.5, 0.6, 0.0, 0.0, 0.0]),
+                          Rotational, priors)
         expected = (3 * gaussian_logpdf(0.0, 0.0, 0.3)
                     + 3 * gaussian_logpdf(0.0, 0.0, 1.0))
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_negative_lengthscale_is_invalid(self):
-        assert log_prior(Ard((-0.1, 0.5, 0.5)), Priors()) == -np.inf
-        assert log_prior(Ard((0.0, 0.5, 0.5)), Priors()) == -np.inf
+        assert log_prior(np.array([-0.1, 0.5, 0.5]), Ard, Priors()) == -np.inf
+        assert log_prior(np.array([0.0, 0.5, 0.5]), Ard, Priors()) == -np.inf
 
     def test_spd_prior_in_log_diag_coordinates(self):
         priors = Priors(spd_logdiag_sd=1.5, spd_offdiag_sd=2.0)
-        value = log_prior(CholeskySpd((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), priors)
+        value = log_prior(np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+                          CholeskySpd, priors)
         expected = (3 * gaussian_logpdf(0.0, 0.0, 1.5)
                     + 3 * gaussian_logpdf(0.0, 0.0, 2.0))
         assert value == pytest.approx(expected, rel=1e-12)
-        assert log_prior(CholeskySpd((-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-                         priors) == -np.inf
+        assert log_prior(np.array([-1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+                         CholeskySpd, priors) == -np.inf
 
     def test_noise_block_when_sampled(self):
         priors = Priors(log_noise_mean=-6.0, log_noise_sd=1.0)
-        base = log_prior(Ard((0.5, 0.5, 0.5)), priors)
-        with_noise = log_prior(Ard((0.5, 0.5, 0.5)), priors, log_noise_var=-6.0)
+        base = log_prior(np.array([0.5, 0.5, 0.5]), Ard, priors)
+        with_noise = log_prior(np.array([0.5, 0.5, 0.5, math.exp(-6.0)]), Ard,
+                               priors)
         assert with_noise - base == pytest.approx(
             gaussian_logpdf(0.0, 0.0, 1.0), rel=1e-12)
+
+    @each_spec_and_noise
+    def test_equals_scalar_sum_over_parts(self, kind, sample_noise):
+        # each entry's density on its prior's coordinate, one at a time:
+        # length-scales and rotations raw, the Cholesky diagonal and the
+        # noise variance in logs
+        spec = SPECS[kind]
+        x = np.random.default_rng(3).uniform(0.1, 1.0,
+                                             len(spec.names) + sample_noise)
+        scalar = {
+            "lengthscales": lambda i: gaussian_logpdf(
+                x[i], (0.3, 0.6, 0.9)[i], (0.2, 0.4, 0.6)[i]),
+            "axis_angle": lambda i: gaussian_logpdf(x[i], 0.0, 0.7),
+            "diag": lambda i: gaussian_logpdf(math.log(x[i]), 0.0, 1.1),
+            "offdiag": lambda i: gaussian_logpdf(x[i], 0.0, 2.5),
+        }
+        terms = [scalar[name](3 * k + j)
+                 for k, name in enumerate(spec.table) for j in range(3)]
+        if sample_noise:
+            terms.append(gaussian_logpdf(math.log(x[-1]), -4.3, 1.7))
+        assert log_prior(x, spec, _PRIORS) == pytest.approx(math.fsum(terms),
+                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    @pytest.mark.parametrize("noise", [math.nan, 0.0, -0.01, math.inf])
+    def test_bad_noise_gets_no_likelihood(self, monkeypatch, kind, noise):
+        def likelihood(*args):
+            raise AssertionError("likelihood of a state outside the prior")
+
+        monkeypatch.setattr(mcmc, "log_marginal_likelihood", likelihood)
+        spec, model, data = SPECS[kind], template(kind), tiny_data()
+        x = np.append(prior_mean(spec, _PRIORS), noise)
+        assert log_prior(x, spec, _PRIORS) == -np.inf
+        state = _score(x, model, _PRIORS, data)
+        assert state.log_prior == state.log_lik == -np.inf
+        # a valid noise does reach the likelihood
+        x[-1] = 0.01
+        with pytest.raises(AssertionError, match="outside the prior"):
+            _score(x, model, _PRIORS, data)
+
+
+class TestStart:
+    @each_spec_and_noise
+    def test_each_part_at_its_prior_mean(self, kind, sample_noise):
+        # the identity rotation, the unit Cholesky diagonal, and exactly
+        # math.exp(log_noise_mean)
+        x = prior_mean(SPECS[kind], _PRIORS, sample_noise)
+        expected = {"ard": [0.3, 0.6, 0.9],
+                    "rotational": [0.3, 0.6, 0.9, 0.0, 0.0, 0.0],
+                    "spd": [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]}[kind]
+        assert x.tolist() == expected + [math.exp(-4.3)] * sample_noise
+        state = initial_state(template(kind), _PRIORS, None, sample_noise)
+        assert state.x.tolist() == x.tolist()
+        assert state.log_prior == log_prior(x, SPECS[kind], _PRIORS) > -np.inf
 
 
 class _StubRng:
@@ -106,7 +181,8 @@ class TestMhStep:
         scales = ProposalScales(axis_angle=0.08)
         model = template("rotational")
         start = Rotational((0.5, 0.5, 0.5), (0.5, 0.0, 0.0))
-        state = SamplerState(start.to_vector(), 0.0, log_prior(start, priors))
+        state = SamplerState(start.to_vector(), 0.0,
+                             log_prior(start.to_vector(), Rotational, priors))
         rng = _StubRng(normals=[0.0, 0.0, 0.0, -0.5 / 0.08, 0.0, 0.0],
                        uniforms=[1.0 - 1e-12])
         new_state, accepted = mh_step(state, None, model, priors, scales, rng)
@@ -143,7 +219,7 @@ class TestMhStep:
         assert state.log_lik == pytest.approx(
             log_marginal_likelihood(model_now, data), abs=1e-10)
         assert state.log_prior == pytest.approx(
-            log_prior(params, priors), abs=1e-12)
+            log_prior(params.to_vector(), Ard, priors), abs=1e-12)
 
 
 class TestSettings:
@@ -202,7 +278,7 @@ class TestRunChain:
             params, noise = chain.params_at(i)
             lp = (log_marginal_likelihood(
                 GPModel(model.profile, params, noise), data)
-                + log_prior(params, Priors()))
+                + log_prior(params.to_vector(), Rotational, Priors()))
             assert chain.log_posts[i] == pytest.approx(lp, abs=1e-10)
 
     def test_init_failure_is_fatal(self):
@@ -247,7 +323,7 @@ class TestRunChain:
                                       block_updates=True, sample_noise=True),
                           d1_desk_train,
                           GPModel(SquaredExponential(),
-                                  SPECS[kind].prior_mean(Priors()), 0.0025),
+                                  template(kind).params, 0.0025),
                           Priors(), ProposalScales())
         lo, hi = ACCEPT_RATE_WINDOW
         assert lo < chain.acceptance_rates()["noise"] < hi
@@ -264,8 +340,7 @@ class TestRunChain:
                                       seed=1, block_updates=block_updates),
                           d1_desk_train,
                           GPModel(SquaredExponential(),
-                                  SPECS["rotational"].prior_mean(Priors()),
-                                  0.0025),
+                                  template("rotational").params, 0.0025),
                           Priors(), ProposalScales())
         rate = chain.acceptance_rates()[
             "axis_angle" if block_updates else "joint"]

@@ -11,7 +11,8 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from rotgp.config import SCHEMAS, ConfigError, metric_params_from_dict
 from rotgp.gp import GPModel
 from rotgp.kernels import SquaredExponential
-from rotgp.mcmc import ChainConfig, Priors, ProposalScales, run_chain
+from rotgp.mcmc import (ChainConfig, Priors, ProposalScales, layout, prior_mean,
+                        run_chain)
 from rotgp.metric import (SPECS, Ard, CholeskySpd, InvalidParamsError,
                           NotSpdError, Rotational, build_metric, eigen_summary,
                           misalignment_angles, spec_for_columns)
@@ -256,8 +257,12 @@ class TestMisalignmentAngles:
 
 @pytest.mark.parametrize("spec", list(SPECS.values()), ids=list(SPECS))
 def test_spec_layout_and_io(spec):
-    start = spec.prior_mean(Priors())
+    start = spec.from_vector(prior_mean(spec, Priors()))
     assert len(spec.names) == start.to_vector().size
+    # the sampler's layout covers a chain row, noise last, in order
+    parts = [part for part, _ in layout(spec, True)]
+    assert [i for p in parts for i in range(p.start, p.stop)] == list(
+        range(len(spec.names) + 1))
     # one table row per dataclass field; the blocks the sampler derives from
     # them are the acceptance-rate keys of summary.json and fit's output
     assert list(spec.table) == [f.name for f in fields(spec)]
