@@ -171,6 +171,8 @@ def _model_from_summary(path):
             noise_var=(float(sdoc["posterior_mean_noise_var"])
                        if noise_sd is None else float(noise_sd) ** 2))
         return model, None if std is None else (std["mean"], std["sd"])
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory") from None
     except KeyError as exc:
         raise ConfigError(f"{path}: not a fit summary: no {exc} entry") from None
     except (TypeError, ValueError) as exc:
@@ -534,7 +536,7 @@ def main(argv=None) -> int:
         doc = _resolve(args.command, args)
         return _COMMANDS[args.command](doc)
     except (ConfigError, DataFormatError, FileNotFoundError,
-            PermissionError) as exc:
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ChainInitError, GramFactorizationError, NotSpdError,

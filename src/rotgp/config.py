@@ -9,8 +9,8 @@ be reproduced from it alone.
 import json
 import math
 from dataclasses import fields
+from numbers import Number
 
-import jsonschema
 import numpy as np
 
 from .gp import GPModel
@@ -18,6 +18,7 @@ from .kernels import Matern, SquaredExponential
 from .mcmc import (CHAIN_MINIMA, RNG_NAME, ChainConfig, Priors, ProposalScales,
                    must_be_positive)
 from .metric import SPECS, MetricParams
+from .table import open_text
 
 
 class ConfigError(ValueError):
@@ -201,14 +202,97 @@ SCHEMAS = {
     "experiment": EXPERIMENT_SCHEMA,
 }
 
-# Built once: ``jsonschema.validate`` checks the schema against its metaschema
-# on every call, which costs far more than the document; the tests check it.
-# JSON Schema counts 20.0 as an integer, where the code needs a Python int.
-_DRAFT = jsonschema.Draft202012Validator
-_Validator = jsonschema.validators.extend(
-    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
-_VALIDATORS = {name: _Validator(schema) for name, schema in SCHEMAS.items()}
+# JSON Schema (Draft 2020-12) as far as SCHEMAS use it. Each keyword maps
+# to a check of (keyword value, instance, schema) that gives the message of
+# a failure in jsonschema 4.26's words, or None; array and object keywords
+# pass other instances, as JSON Schema's do. The keywords mapped to None
+# check nothing here: ``items``, ``properties`` and a schema under
+# ``additionalProperties`` are checked by descending into the instance.
+# An integer is a Python int, not a bool, so 20.0 is no integer.
+_IS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: ``true`` is not ``1``, inside arrays and objects too."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _additional(w, v, s):
+    extras = (sorted(v.keys() - s.get("properties", {}).keys())
+              if w is False and isinstance(v, dict) else ())
+    if extras:
+        return "Additional properties are not allowed ({} {} unexpected)".format(
+            ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+    return None
+
+
+_KEYWORDS = {
+    "$schema": None, "title": None, "items": None, "properties": None,
+    "type": lambda w, v, s: None if _IS[w](v) else f"{v!r} is not of type {w!r}",
+    "enum": lambda w, v, s: (None if any(_same(v, e) for e in w)
+                             else f"{v!r} is not one of {w!r}"),
+    "const": lambda w, v, s: None if _same(v, w) else f"{w!r} was expected",
+    "minimum": lambda w, v, s: (
+        f"{v!r} is less than the minimum of {w!r}"
+        if _IS["number"](v) and v < w else None),
+    "exclusiveMinimum": lambda w, v, s: (
+        f"{v!r} is less than or equal to the minimum of {w!r}"
+        if _IS["number"](v) and v <= w else None),
+    "minItems": lambda w, v, s: (
+        f"{v!r} " + ("should be non-empty" if w == 1 else "is too short")
+        if isinstance(v, list) and len(v) < w else None),
+    "maxItems": lambda w, v, s: (
+        f"{v!r} " + ("is expected to be empty" if w == 0 else "is too long")
+        if isinstance(v, list) and len(v) > w else None),
+    "uniqueItems": lambda w, v, s: (
+        f"{v!r} has non-unique elements"
+        if w and isinstance(v, list)
+        and any(_same(a, b) for i, a in enumerate(v) for b in v[:i]) else None),
+    "required": lambda w, v, s: next(
+        (f"{k!r} is a required property"
+         for k in w if isinstance(v, dict) and k not in v), None),
+    "additionalProperties": _additional,
+}
+
+
+def _parts(schema, value):
+    """(key, schema, value) of each array item or object member that a
+    subschema of ``schema`` describes."""
+    if isinstance(value, list) and "items" in schema:
+        yield from ((i, schema["items"], v) for i, v in enumerate(value))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        rest = schema.get("additionalProperties", True)
+        for key, v in value.items():
+            sub = props.get(key, rest)
+            if isinstance(sub, dict):
+                yield key, sub, v
+
+
+def _first_error(schema, value, path=()):
+    """``(path, message)`` of the error jsonschema's ``best_match`` reports,
+    or None: the shallowest, then the greatest path, then the first failing
+    keyword in the schema's order. An error here is shallower than any
+    below, so the parts are walked only when this level holds."""
+    for keyword, want in schema.items():
+        check = _KEYWORDS[keyword]
+        if check and (message := check(want, value, schema)) is not None:
+            return path, message
+    errors = filter(None, (_first_error(sub, v, (*path, key))
+                           for key, sub, v in _parts(schema, value)))
+    return max(errors, key=lambda e: (-len(e[0]), e[0]), default=None)
+
 
 _D1_GENERATOR = {
     "model": "rotational",
@@ -294,11 +378,10 @@ FIT_DEFAULTS = {
 
 def validate(command: str, document: dict) -> None:
     """Schema-check a config document; raises ConfigError on violation."""
-    exc = jsonschema.exceptions.best_match(
-        _VALIDATORS[command].iter_errors(document))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"invalid {command} config at {path}: {exc.message}")
+    error = _first_error(SCHEMAS[command], document)
+    if error is not None:
+        path = "/".join(map(str, error[0])) or "(root)"
+        raise ConfigError(f"invalid {command} config at {path}: {error[1]}")
 
 
 def merge(base: dict, override: dict) -> dict:
@@ -319,7 +402,7 @@ def load_json(path) -> dict:
         return value
 
     try:
-        with open(path, encoding="utf-8") as f:
+        with open_text(path, ConfigError) as f:
             return json.load(f, parse_constant=finite, parse_float=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

@@ -12,6 +12,7 @@ indents and a final newline.
 import csv
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +24,19 @@ class DataFormatError(ValueError):
 def _cell(value):
     # float() first: numpy's float64 is a float whose repr names its type
     return repr(float(value)) if isinstance(value, float) else value
+
+
+@contextmanager
+def open_text(path, error=DataFormatError, newline=None):
+    """``path`` opened to read as UTF-8 text. A directory, or bytes that are
+    not UTF-8 met while the file is read, raise ``error`` naming the path."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory") from None
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
 
 
 def write_table(path, header, rows, append=False) -> None:
@@ -41,7 +55,7 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
     non-numeric or non-finite row fails with its line number, and so does
     a file without rows. Blank lines are skipped."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:

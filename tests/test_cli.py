@@ -819,7 +819,7 @@ class TestSchemas:
                         "proposal_scales_by_model": {"iso": {}}}),
     ])
     def test_error_text_matches_jsonschema_validate(self, command, doc):
-        # The validators are built once; the message must stay the one that
+        # rotgp's own schema walker must give the message that
         # jsonschema.validate, which re-checks the schema on every call, gives.
         with pytest.raises(jsonschema.ValidationError) as ref:
             jsonschema.validate(doc, SCHEMAS[command])
@@ -961,6 +961,47 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
     }[case]
     out = tmp_path / "out"
     cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf8", "below-a-file"])
+@pytest.mark.parametrize("command, field", [
+    ("fit", "--config"), ("fit", "train_csv"), ("predict", "test_csv"),
+    ("predict", "summary_json"), ("evaluate", "predictions_csv")])
+def test_unreadable_input_exits_2(dataset_dir, tmp_path, capsys, command,
+                                  field, bad):
+    # A path that names a directory, a file that is not UTF-8 and a path
+    # through a file are config errors that name the path, not tracebacks.
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+        error = f"{path}: is a directory"
+    elif bad == "not-utf8":
+        path.write_bytes(b"\xffx,y,z,value\n1,2,3,4\n")
+        error = f"{path}: not UTF-8 text"
+        if field == "summary_json":  # read as a summary that is not one
+            error = (f"{path}: not a fit summary: 'utf-8' codec can't decode "
+                     "byte 0xff in position 0: invalid start byte")
+    else:
+        path.write_text("x,y,z,value\n1,2,3,4\n")
+        path = path / "x"
+        error = f"[Errno 20] Not a directory: '{path}'"
+    train = str(dataset_dir / "train.csv")
+    doc = {"fit": {"train_csv": train, "model": "ard",
+                   "chain": {"n_iters": 20, "burn_in": 10}},
+           "predict": {"train_csv": train,
+                       "test_csv": str(dataset_dir / "test.csv"),
+                       "model_params": {**_MATERN_WITHOUT_NU,
+                                        "profile": {"type": "se"}}},
+           "evaluate": {}}[command]
+    out = tmp_path / "out"
+    if field == "--config":
+        cfg = str(path)
+    else:
+        cfg = write_json(tmp_path / "c.json",
+                         {**doc, field: str(path), "out_dir": str(out)})
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
