@@ -24,9 +24,9 @@ from .fork import fork_map, usable_cpus
 from .gp import Dataset, GPModel, PredictiveResult, predict
 from .kernels import GramFactorizationError
 from .mcmc import (RNG_NAME, ChainConfig, ChainInitError, Priors,
-                   ProposalScales, load_chain_csv, prior_mean, run_chain,
-                   summarize)
-from .metric import SPECS, InvalidParamsError, NotSpdError, spec_for_columns
+                   ProposalScales, load_chain_csv, prior_mean, row_params,
+                   run_chain, summarize)
+from .metric import SPECS, InvalidParamsError, NotSpdError
 from .metrics import (FIELDS, append_ledger_row, compute_metrics,
                       write_metrics_json)
 from .table import (DataFormatError, data_line, dump_json, read_table,
@@ -132,8 +132,6 @@ def cmd_fit(doc: dict) -> int:
     summary = summarize(chain)
     chain.to_csv(os.path.join(out, "chain.csv"))
 
-    mean_params = spec.from_vector(
-        [summary.params[name]["mean"] for name in chain.param_names])
     summary_doc = summary.to_dict()
     summary_doc.update({
         "model": {
@@ -141,7 +139,6 @@ def cmd_fit(doc: dict) -> int:
             "profile": doc["profile"],
             "noise_sd": None if chain_config.sample_noise else doc["noise_sd"],
         },
-        "posterior_mean_params": mean_params.to_dict(),
         "standardization": standardization,
         "train_csv": doc["train_csv"],
         "n_train": n_raw,
@@ -181,9 +178,8 @@ def _model_from_summary(path):
 
 def _sample_predictive(spec, profile, fixed_noise_var, train, X_test, row):
     """One stored sample's predictive mean and variance, and its noise."""
-    params, noise_var = spec.from_row(row, fixed_noise_var)
-    res = predict(GPModel(profile=profile, params=params, noise_var=noise_var),
-                  train, X_test)
+    params, noise_var = row_params(spec, row, fixed_noise_var)
+    res = predict(GPModel(profile, params, noise_var), train, X_test)
     return res.mean, res.var, noise_var
 
 
@@ -197,11 +193,7 @@ def _mixture_predict(chain_csv, profile, fixed_noise_var, train, X_test):
     is at least its own noise variance; the floor absorbs round-off as in
     ``predict``.
     """
-    names, _, _, states = load_chain_csv(chain_csv)
-    spec = spec_for_columns(names)
-    if spec is None:
-        raise DataFormatError(
-            f"{chain_csv}: chain columns {','.join(names)} match no model")
+    spec, _, _, states = load_chain_csv(chain_csv)
     sample = functools.partial(_sample_predictive, spec, profile,
                                fixed_noise_var, train, X_test)
     per_sample = fork_map(sample, list(states), usable_cpus())
@@ -478,8 +470,8 @@ def _resolve(command: str, args) -> dict:
         doc = cfg.merge(doc, presets[args.preset])
     if args.config is not None:
         doc = cfg.merge(doc, cfg.load_json(args.config))
-    if command == "experiment" and "scenario" in doc:
-        scenario = doc["scenario"]
+    scenario = doc.get("scenario") if command == "experiment" else None
+    if isinstance(scenario, str):  # any other value fails the schema check
         if scenario not in cfg.EXPERIMENT_PRESETS:
             raise ConfigError(f"unknown scenario {scenario!r}")
         doc = cfg.merge(cfg.EXPERIMENT_PRESETS[scenario], doc)

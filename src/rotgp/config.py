@@ -403,11 +403,14 @@ def load_json(path) -> dict:
 
     try:
         with open_text(path, ConfigError) as f:
-            return json.load(f, parse_constant=finite, parse_float=finite)
+            doc = json.load(f, parse_constant=finite, parse_float=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    return doc
 
 
 def profile_from_dict(doc: dict):

@@ -1,16 +1,17 @@
 """Random-walk Metropolis-Hastings over metric parameters.
 
 The sampler is generic. Its state is one flat vector ``x``, laid out as a
-stored chain row: the spec's ``names``, then ``noise_var`` when noise is
-sampled. :func:`layout` pairs each part of ``x`` with the ``metric.Row``
-that governs it: the spec's table declares one per field (see
-:mod:`rotgp.metric`), and the noise's is this module's own ``_NOISE``. The
-walk, the log prior and the prior-mean start all go through that layout, the
-same way for every part: a row's move (``_MOVES``) gives the walk's step, the
-coordinate the Gaussian prior is on and that coordinate's inverse, which maps
-the prior mean to the start. The length-scales' prior lives on the raw
-coordinate, so their log-scale walk carries the log-proposal Jacobian in the
-acceptance ratio and the target density is unchanged.
+stored chain row (:func:`columns`), which only this module reads, maps to a
+model (:func:`row_params`) and summarises. :func:`layout` pairs each part of
+``x`` with the ``metric.Row`` that governs it: the spec's table declares one
+per field (see :mod:`rotgp.metric`), and the noise's is this module's own
+``_NOISE``. The walk, the log prior and the prior-mean start all go through
+that layout, the same way for every part: a row's move (``_MOVES``) gives the
+walk's step, the coordinate the Gaussian prior is on and that coordinate's
+inverse, which maps the prior mean to the start. The length-scales' prior
+lives on the raw coordinate, so their log-scale walk carries the
+log-proposal Jacobian in the acceptance ratio and the target density is
+unchanged.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order.
@@ -18,7 +19,7 @@ noise and acceptance uniforms in a fixed order.
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,20 +144,15 @@ class Chain:
     states: np.ndarray
     log_posts: np.ndarray
     accept_counts: dict[str, int]
-    proposal_counts: dict[str, int]
+    n_iters: int  # each iteration proposes every update group once
     fixed_noise_var: float | None
-
-    @property
-    def spec(self) -> type:
-        return SPECS[self.kind]
 
     @property
     def n_samples(self) -> int:
         return int(self.states.shape[0])
 
     def acceptance_rates(self) -> dict[str, float]:
-        return {b: self.accept_counts[b] / max(self.proposal_counts[b], 1)
-                for b in self.proposal_counts}
+        return {b: n / self.n_iters for b, n in self.accept_counts.items()}
 
     def rate_flags(self) -> list[str]:
         lo, hi = ACCEPT_RATE_WINDOW
@@ -165,10 +161,6 @@ class Chain:
             for b, r in self.acceptance_rates().items()
             if not lo < r < hi
         ]
-
-    def params_at(self, i: int) -> tuple[MetricParams, float]:
-        """Rebuild the metric parameters and noise variance of sample i."""
-        return self.spec.from_row(self.states[i], self.fixed_noise_var)
 
     def to_csv(self, path) -> None:
         """Write `iter,log_post,<params>` rows."""
@@ -180,19 +172,20 @@ class Chain:
 
 @dataclass
 class PosteriorSummary:
-    """Per-parameter posterior statistics and invariant anisotropy summary."""
+    """Per-parameter posterior statistics, anisotropy and plug-in model."""
 
     kind: str
     params: dict[str, dict[str, float]]
     geodesic_deg: dict[str, float] | None
     anisotropy: AnisotropySummary
+    posterior_mean_params: MetricParams
     posterior_mean_noise_var: float | None
     acceptance_rates: dict[str, float]
-    flags: list[str] = field(default_factory=list)
+    flags: list[str]
 
     def to_dict(self) -> dict:
         return {**vars(self), "anisotropy": self.anisotropy.to_dict(),
-                "flags": list(self.flags)}
+                "posterior_mean_params": self.posterior_mean_params.to_dict()}
 
 
 # Each move by name: its walk of x by eps, the coordinate its prior is on and
@@ -224,6 +217,25 @@ def layout(spec: type, sample_noise: bool) -> tuple:
     if sample_noise:
         parts.append((slice(len(spec.names), len(spec.names) + 1), _NOISE))
     return tuple(parts)
+
+
+def columns(spec: type, sample_noise: bool) -> list[str]:
+    """A stored chain row's column names, in :func:`layout` order."""
+    return list(spec.names) + (["noise_var"] if sample_noise else [])
+
+
+def spec_for_columns(names) -> type | None:
+    """The spec whose chain rows ``names`` name, or None."""
+    return next((spec for spec in SPECS.values() for noise in (False, True)
+                 if list(names) == columns(spec, noise)), None)
+
+
+def row_params(spec: type, row, fixed_noise_var) -> tuple[MetricParams, float]:
+    """``(params, noise_var)`` of a stored chain row; a column after the
+    parameters holds sampled noise, else ``fixed_noise_var`` applies."""
+    n = len(spec.names)
+    noise_var = float(row[n]) if len(row) > n else fixed_noise_var
+    return spec.from_vector(row), noise_var
 
 
 def log_prior(x: np.ndarray, spec: type, priors: Priors) -> float:
@@ -260,7 +272,7 @@ def _score(x: np.ndarray, model: GPModel, priors: Priors,
     spec = type(model.params)
     lp, ll = log_prior(x, spec, priors), _NEG_INF
     if lp > _NEG_INF:
-        params, noise_var = spec.from_row(x, model.noise_var)
+        params, noise_var = row_params(spec, x, model.noise_var)
         try:
             ll = 0.0 if data is None else log_marginal_likelihood(
                 GPModel(model.profile, params, noise_var), data)
@@ -300,8 +312,7 @@ def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
 
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   sample_noise: bool = False) -> SamplerState:
-    """The state at the prior-mean start of the template's
-    parameterisation."""
+    """The state at the template parameterisation's prior-mean start."""
     return _score(prior_mean(type(model.params), priors, sample_noise),
                   model, priors, data)
 
@@ -330,9 +341,8 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     groups = ({b: [b] for b in blocks} if config.block_updates
               else {"joint": blocks})
     accept_counts = dict.fromkeys(groups, 0)
-    proposal_counts = dict.fromkeys(groups, 0)
 
-    names = list(spec.names) + (["noise_var"] if config.sample_noise else [])
+    names = columns(spec, config.sample_noise)
     n_keep = (config.n_iters - config.burn_in) // config.thin
     iters = np.empty(n_keep, dtype=np.int64)
     states = np.empty((n_keep, len(names)))
@@ -343,7 +353,6 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
         for name, group in groups.items():
             state, accepted = mh_step(state, data, model, priors, scales,
                                      rng, group)
-            proposal_counts[name] += 1
             accept_counts[name] += accepted
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             iters[kept] = i
@@ -354,7 +363,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     assert kept == n_keep
     return Chain(kind=spec.kind, param_names=names, iters=iters, states=states,
                  log_posts=log_posts, accept_counts=accept_counts,
-                 proposal_counts=proposal_counts,
+                 n_iters=config.n_iters,
                  fixed_noise_var=None if config.sample_noise else model.noise_var)
 
 
@@ -369,45 +378,49 @@ def _column_stats(x: np.ndarray) -> dict[str, float]:
 
 def summarize(chain: Chain) -> PosteriorSummary:
     """Posterior summary: per-parameter statistics, geodesic rotation angle
-    aggregates, and the anisotropy summary of the posterior-mean metric.
+    aggregates, the anisotropy summary of the row-mean metric, and the plug-in
+    model: the per-column means, which differ in the last bits from the row
+    mean, read as a chain row.
 
     Geodesic-angle statistics come from the per-sample induced rotation for
     rotational chains and are identically zero for ARD; the generic SPD
     parameterisation is summarized through the eigendecomposition only.
     """
+    spec = SPECS[chain.kind]
     stats = {name: _column_stats(chain.states[:, j])
              for j, name in enumerate(chain.param_names)}
 
-    angles = [chain.spec.from_vector(row).rotation_deg()
-              for row in chain.states]
+    angles = [spec.from_vector(row).rotation_deg() for row in chain.states]
     geo = None if None in angles else _column_stats(np.array(angles))
 
-    mean_params = chain.spec.from_vector(chain.states.mean(axis=0))
+    mean_params = spec.from_vector(chain.states.mean(axis=0))
     anis = eigen_summary(build_metric(mean_params))
 
-    if "noise_var" in chain.param_names:
-        noise_mean = stats["noise_var"]["mean"]
-    else:
-        noise_mean = None
+    plug_in, noise_mean = row_params(
+        spec, [stats[name]["mean"] for name in chain.param_names], None)
 
     return PosteriorSummary(
         kind=chain.kind,
         params=stats,
         geodesic_deg=geo,
         anisotropy=anis,
+        posterior_mean_params=plug_in,
         posterior_mean_noise_var=noise_mean,
         acceptance_rates=chain.acceptance_rates(),
         flags=chain.rate_flags(),
     )
 
 
-def load_chain_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Read a chain CSV back as (param_names, iters, log_posts, states)."""
+def load_chain_csv(path) -> tuple[type, np.ndarray, np.ndarray, np.ndarray]:
+    """Read a chain CSV back as (spec, iters, log_posts, states)."""
     header, rows = read_table(path)
     if header[:2] != ["iter", "log_post"]:
         raise DataFormatError(
             f"{path}: line 1: expected a header starting iter,log_post")
-    return (header[2:], rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2:])
+    if (spec := spec_for_columns(header[2:])) is None:
+        raise DataFormatError(
+            f"{path}: chain columns {','.join(header[2:])} match no model")
+    return spec, rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2:]
 
 
 def effective_sample_size(x) -> float:

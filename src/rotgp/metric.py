@@ -84,14 +84,6 @@ class _Spec:
         return np.concatenate([getattr(self, f.name) for f in fields(self)])
 
     @classmethod
-    def from_row(cls, row, fixed_noise_var):
-        """``(params, noise_var)`` of a stored chain row; a column after the
-        parameters holds sampled noise, else ``fixed_noise_var`` applies."""
-        n = len(cls.names)
-        noise_var = float(row[n]) if len(row) > n else fixed_noise_var
-        return cls.from_vector(row), noise_var
-
-    @classmethod
     def from_dict(cls, doc: dict):
         """Parameters from a model-spec dict; KeyError names a missing field."""
         return cls(*(doc[f.name] for f in fields(cls)))
@@ -187,16 +179,6 @@ class CholeskySpd(_Spec):
 MetricParams = Ard | Rotational | CholeskySpd
 
 SPECS = {spec.kind: spec for spec in (Ard, Rotational, CholeskySpd)}
-
-
-def spec_for_columns(names) -> type | None:
-    """The spec named exactly by ``names``, with or without a trailing
-    ``noise_var``; None when there is none."""
-    core = list(names[:-1] if names[-1:] == ["noise_var"] else names)
-    for spec in SPECS.values():
-        if core == list(spec.names):
-            return spec
-    return None
 
 
 @dataclass

@@ -374,6 +374,16 @@ class TestPredict:
             dataset_dir, tmp_path,
             f"iter,log_post,{columns}\n1,-1.0,{values}\n") == 2
 
+    def test_mixture_chain_matching_no_model_exits_2(self, dataset_dir,
+                                                      tmp_path, capsys):
+        rc, out = self._run_mixture(dataset_dir, tmp_path,
+                                    "iter,log_post,l_x,l_y\n1,-1.0,0.5,0.5\n")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'predbad.chain.csv'}: "
+            "chain columns l_x,l_y match no model\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "a,b,l_x,l_y,l_z\n1,-1.0,0.5,0.5,0.5\n",  # not a chain header
         "iter,log_post,l_x,l_y,l_z\n",  # header and no rows
@@ -426,6 +436,45 @@ class TestPredict:
         one_row = "".join(text.splitlines(keepends=True)[:2])
         rc, _ = self._run_mixture(dataset_dir, tmp_path, one_row, "onerow")
         assert rc == 0 and started == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="one CPU starts no worker")
+    def test_mixture_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # A rotational fit with sampled noise, predicted by two rotgp
+        # processes with one BLAS thread each (OpenBLAS's own thread count
+        # changes the last digits whatever rotgp does): one pinned to a
+        # single CPU, so it starts no worker, and one on every CPU this test
+        # may use. 300 test points make each sample's predict walk three
+        # blocks: 128, 128 and 44.
+        data, fit = tmp_path / "data", tmp_path / "fit"
+        assert main(["generate", "--preset", "d1", "--out", str(data),
+                     "--config", write_json(tmp_path / "g.json", {
+                         "n_train": 200, "n_test": 300})]) == 0
+        assert main(["fit", "--out", str(fit), "--config", write_json(
+            tmp_path / "f.json", {
+                "train_csv": str(data / "train.csv"), "model": "rotational",
+                "chain": {"n_iters": 200, "burn_in": 100, "thin": 5,
+                          "seed": 1, "sample_noise": True}})]) == 0
+        cfg = write_json(tmp_path / "p.json", {
+            "train_csv": str(data / "train.csv"),
+            "test_csv": str(data / "test.csv"),
+            "summary_json": str(fit / "summary.json")})
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        # the child pins itself before it imports numpy
+        launcher = ("import os, sys; {} "
+                    "from rotgp.cli import main; sys.exit(main(sys.argv[1:]))")
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, pin in [("one", f"os.sched_setaffinity(0, {{{one_cpu}}});"),
+                          ("all", "")]:
+            subprocess.run(
+                [sys.executable, "-c", launcher.format(pin), "predict",
+                 "--posterior-mean-of-predictions", "--config", cfg,
+                 "--out", str(tmp_path / name)],
+                env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
+            outputs.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_mixture_reports_first_failing_sample(self, dataset_dir, tmp_path,
@@ -904,7 +953,9 @@ _MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
     "generate-matern", "generate-float-seed", "fit-missing-train",
     "fit-matern", "fit-float-n-iters", "predict-missing-summary",
     "predict-summary-not-json", "predict-summary-without-params",
-    "predict-matern", "predict-no-model-source", "experiment-float-n-train"])
+    "predict-matern", "predict-no-model-source", "experiment-float-n-train",
+    "config-list", "config-number", "config-null", "experiment-scenario-list",
+    "experiment-scenario-object"])
 def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
                                             case):
     # Every input is read and every setting built before the output
@@ -920,6 +971,11 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
         "model": {"model": "ard", "profile": {"type": "se"}, "noise_sd": 0.1}})
     # JSON Schema counts 20.0 as an integer; the code needs a Python int
     not_int = "{} config at {}: {} is not of type 'integer'"
+    cfg = tmp_path / "c.json"
+    not_object = f"config file {cfg} does not hold a JSON object"
+    # a scenario that is no preset name is left to the schema
+    no_scenario = ("invalid experiment config at scenario: {} is not one of "
+                   "['d1', 'd2', 'plane-holdout']")
     command, doc, error = {
         "generate-matern": ("generate", {
             "n_train": 5, "n_test": 5, "seed": 0,
@@ -958,10 +1014,18 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
         "experiment-float-n-train": ("experiment", {
             "scenario": "d2", "seed": 1, "n_train": 30.0, "n_test": 10},
             "invalid " + not_int.format("experiment", "n_train", 30.0)),
+        # a config file's top level must be a JSON object
+        "config-list": ("fit", "[]", not_object),
+        "config-number": ("fit", "1", not_object),
+        "config-null": ("fit", "null", not_object),
+        "experiment-scenario-list": ("experiment", {
+            "scenario": [], "seed": 1}, no_scenario.format([])),
+        "experiment-scenario-object": ("experiment", {
+            "scenario": {}, "seed": 1}, no_scenario.format({})),
     }[case]
     out = tmp_path / "out"
-    cfg = write_json(tmp_path / "c.json", {**doc, "out_dir": str(out)})
-    assert main([command, "--config", cfg]) == 2
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 

@@ -13,7 +13,7 @@ from rotgp.mcmc import (ACCEPT_RATE_WINDOW, CHAIN_MINIMA, Chain,
                         ChainConfig, ChainInitError, Priors, ProposalScales,
                         _score, effective_sample_size, initial_state,
                         load_chain_csv, log_prior, mh_step, must_be_positive,
-                        prior_mean, run_chain, summarize)
+                        prior_mean, row_params, run_chain, summarize)
 from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
 from rotgp.so3 import exp_so3, geodesic_angle
 
@@ -214,7 +214,7 @@ class TestMhStep:
             accepted_any = accepted_any or accepted
         assert accepted_any
         from rotgp.gp import log_marginal_likelihood
-        params, noise_var = Ard.from_row(state.x, model.noise_var)
+        params, noise_var = row_params(Ard, state.x, model.noise_var)
         model_now = GPModel(model.profile, params, noise_var)
         assert state.log_lik == pytest.approx(
             log_marginal_likelihood(model_now, data), abs=1e-10)
@@ -275,7 +275,8 @@ class TestRunChain:
         chain = run_chain(cfg, data, model, Priors(), ProposalScales())
         assert np.all(np.isfinite(chain.log_posts))
         for i in range(chain.n_samples):
-            params, noise = chain.params_at(i)
+            params, noise = row_params(Rotational, chain.states[i],
+                                       chain.fixed_noise_var)
             lp = (log_marginal_likelihood(
                 GPModel(model.profile, params, noise), data)
                 + log_prior(params.to_vector(), Rotational, Priors()))
@@ -291,8 +292,8 @@ class TestRunChain:
         cfg = ChainConfig(n_iters=200, burn_in=50, seed=2, block_updates=True)
         chain = run_chain(cfg, tiny_data(), template("rotational"), Priors(),
                           ProposalScales())
-        assert set(chain.proposal_counts) == {"lengthscales", "axis_angle"}
-        assert all(v == 200 for v in chain.proposal_counts.values())
+        assert set(chain.accept_counts) == {"lengthscales", "axis_angle"}
+        assert chain.n_iters == 200
 
     def test_sampled_noise_column(self):
         cfg = ChainConfig(n_iters=300, burn_in=100, seed=4, sample_noise=True)
@@ -355,8 +356,8 @@ class TestRunChain:
         chain.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "iter,log_post,d_1,d_2,d_3,o_1,o_2,o_3"
-        names, iters, log_posts, states = load_chain_csv(path)
-        assert names == chain.param_names
+        spec, iters, log_posts, states = load_chain_csv(path)
+        assert spec is CholeskySpd
         assert np.array_equal(iters, chain.iters)
         assert np.array_equal(log_posts, chain.log_posts)
         assert np.array_equal(states, chain.states)
@@ -447,7 +448,7 @@ class TestSummarize:
                       param_names=list(Rotational.names),
                       iters=np.arange(1, 21), states=states,
                       log_posts=np.full(20, -3.0),
-                      accept_counts={"joint": 5}, proposal_counts={"joint": 20},
+                      accept_counts={"joint": 5}, n_iters=20,
                       fixed_noise_var=0.0025)
         s = summarize(chain)
         for name in chain.param_names:
@@ -457,6 +458,19 @@ class TestSummarize:
         assert s.geodesic_deg["q05"] == pytest.approx(s.geodesic_deg["q95"])
         np.testing.assert_allclose(s.anisotropy.ranges, [0.1, 0.4, 0.8],
                                    rtol=1e-9)
+
+    def test_plug_in_reads_the_column_means_as_a_row(self):
+        cfg = ChainConfig(n_iters=300, burn_in=100, seed=25, sample_noise=True)
+        chain = run_chain(cfg, tiny_data(), template("rotational"), Priors(),
+                          ProposalScales())
+        s = summarize(chain)
+        means = [s.params[name]["mean"] for name in chain.param_names]
+        assert type(s.posterior_mean_params) is Rotational
+        assert s.posterior_mean_params.to_vector().tolist() == means[:-1]
+        assert s.posterior_mean_noise_var == means[-1]
+        assert s.to_dict()["posterior_mean_params"] == {
+            "model": "rotational", "lengthscales": means[:3],
+            "axis_angle": means[3:6]}
 
     def test_interval_ordering_and_units(self):
         cfg = ChainConfig(n_iters=4_000, burn_in=500, seed=21, thin=2)
@@ -490,7 +504,7 @@ class TestSummarize:
         chain = run_chain(cfg, data, template("rotational"), Priors(),
                           ProposalScales())
         for i in range(chain.n_samples):
-            params, _ = chain.params_at(i)
+            params, _ = row_params(Rotational, chain.states[i], None)
             s = eigen_summary(build_metric(params))
             assert np.all(np.diff(s.ranges) >= 0)
 

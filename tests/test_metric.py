@@ -12,10 +12,10 @@ from rotgp.config import SCHEMAS, ConfigError, metric_params_from_dict
 from rotgp.gp import GPModel
 from rotgp.kernels import SquaredExponential
 from rotgp.mcmc import (ChainConfig, Priors, ProposalScales, layout, prior_mean,
-                        run_chain)
+                        row_params, run_chain, spec_for_columns)
 from rotgp.metric import (SPECS, Ard, CholeskySpd, InvalidParamsError,
                           NotSpdError, Rotational, build_metric, eigen_summary,
-                          misalignment_angles, spec_for_columns)
+                          misalignment_angles)
 from rotgp.so3 import exp_so3
 
 L_TRUE = (0.40, 0.10, 0.80)
@@ -270,7 +270,7 @@ def test_spec_layout_and_io(spec):
                                   block_updates=True, sample_noise=True),
                       None, GPModel(SquaredExponential(), start, 0.01),
                       Priors(), ProposalScales())
-    assert tuple(chain.proposal_counts) == {
+    assert tuple(chain.accept_counts) == {
         "ard": ("lengthscales", "noise"),
         "rotational": ("lengthscales", "axis_angle", "noise"),
         "spd": ("cholesky", "noise"),
@@ -284,9 +284,9 @@ def test_spec_layout_and_io(spec):
     params = spec.from_vector(vec)
     assert type(params) is spec
     assert np.array_equal(params.to_vector(), vec)
-    row_params, row_noise = spec.from_row(np.append(vec, 0.3), None)
-    assert np.array_equal(row_params.to_vector(), vec) and row_noise == 0.3
-    assert spec.from_row(vec, 0.01)[1] == 0.01
+    from_row, row_noise = row_params(spec, np.append(vec, 0.3), None)
+    assert np.array_equal(from_row.to_vector(), vec) and row_noise == 0.3
+    assert row_params(spec, vec, 0.01)[1] == 0.01
 
     doc = params.to_dict()
     assert doc["model"] == spec.kind

@@ -27,7 +27,7 @@ def _chain(tmp):
     Chain(kind="ard", param_names=["l_x", "l_y", "l_z"],
           iters=np.array([5, 10], dtype=np.int64), states=X,
           log_posts=np.array([-1.5, -0.1]), accept_counts={},
-          proposal_counts={}, fixed_noise_var=None).to_csv(tmp / "chain.csv")
+          n_iters=10, fixed_noise_var=None).to_csv(tmp / "chain.csv")
     return "chain.csv", ("iter,log_post,l_x,l_y,l_z\n"
                          "5,-1.5,0.1,-2.0,1e-05\n"
                          "10,-0.1,0.3333333333333333,0.0,1e+300\n")
