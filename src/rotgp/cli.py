@@ -33,9 +33,9 @@ from .table import (DataFormatError, data_line, dump_json, read_table,
                     write_table)
 
 # Stage seeds inside an experiment are derived from the base seed with fixed
-# offsets (this one, and each spec's ``seed_offset`` for its fit) and recorded
-# in the resolved config.
-_PLANE_SEED_OFFSET = 7
+# offsets, one for the held-out planes and one for each model's fit; the fit
+# seeds are recorded in the resolved config.
+_SEED_OFFSETS = {"planes": 7, "rotational": 101, "spd": 102, "ard": 103}
 
 
 def _ensure_dir(path: str) -> None:
@@ -291,61 +291,51 @@ def _grid_points(grid: dict, half_width: float) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
-def _experiment_stage_docs(doc: dict):
-    """Per-model fit docs with derived seeds, shared by both scenarios."""
-    fits = {}
+def _experiment_stages(doc: dict) -> list[tuple]:
+    """Each model's fit, predict and evaluate as ``(model, command,
+    document)``, in model order. A fit takes the experiment's fit settings
+    that are present, its noise sd defaulting to the generator's, and fit's
+    own defaults fill the rest."""
+    out = doc["out_dir"]
+    settings = {k: doc[k] for k in cfg.FIT_SETTINGS if k in doc}
+    settings.setdefault("noise_sd", doc["generator"]["noise_sd"])
     by_model = doc.get("proposal_scales_by_model", {})
+    stages = []
     for model in doc["models"]:
-        scales = cfg.merge(doc.get("proposal_scales", {}),
-                           by_model.get(model, {}))
-        fits[model] = {
-            "train_csv": os.path.join(doc["out_dir"], "train.csv"),
+        model_out = os.path.join(out, model)
+        fit_doc = cfg.merge(settings, {
+            "train_csv": os.path.join(out, "train.csv"),
             "model": model,
             "profile": doc["generator"]["profile"],
-            "noise_sd": doc.get("noise_sd", doc["generator"]["noise_sd"]),
-            "standardize": doc.get("standardize", False),
-            "priors": doc.get("priors", {}),
-            "proposal_scales": scales,
-            "chain": cfg.merge(doc.get("chain", {}),
-                               {"seed": doc["seed"] + SPECS[model].seed_offset}),
-            "out_dir": os.path.join(doc["out_dir"], model),
-        }
-    return fits
-
-
-def _model_pipeline(out: str, scenario: str, fit_doc: dict) -> dict:
-    """Fit, predict and evaluate one model; its comparison row. An error
-    carries the stage that raised it as ``stage``."""
-    model = fit_doc["model"]
-    try:
-        stage = f"fit:{model}"
-        cmd_fit(fit_doc)
-
-        stage = f"predict:{model}"
+            "proposal_scales": by_model.get(model, {}),
+            "chain": {"seed": doc["seed"] + _SEED_OFFSETS[model]},
+            "out_dir": model_out,
+        })
         predict_doc = {
             "train_csv": os.path.join(out, "train.csv"),
             "test_csv": os.path.join(out, "test.csv"),
-            "summary_json": os.path.join(out, model, "summary.json"),
-            "out_dir": os.path.join(out, model),
+            "summary_json": os.path.join(model_out, "summary.json"),
+            "out_dir": model_out,
         }
-        cfg.validate("predict", predict_doc)
-        cmd_predict(predict_doc)
+        evaluate_doc = {
+            "predictions_csv": os.path.join(model_out, "predictions.csv"),
+            "label": f"{doc['scenario']}-{model}",
+            "out_dir": model_out,
+        }
+        stages += [(model, "fit", fit_doc), (model, "predict", predict_doc),
+                   (model, "evaluate", evaluate_doc)]
+    return stages
 
-        stage = f"evaluate:{model}"
-        eval_doc = {
-            "predictions_csv": os.path.join(out, model, "predictions.csv"),
-            "label": f"{scenario}-{model}",
-            "out_dir": os.path.join(out, model),
-        }
-        cfg.validate("evaluate", eval_doc)
-        cmd_evaluate(eval_doc)
-        with open(os.path.join(out, model, "metrics.json"),
-                  encoding="utf-8") as f:
-            metrics = json.load(f)
+
+def _run_stage(stage: tuple) -> int:
+    """Run one experiment stage's command; an error carries the stage's
+    name, ``<command>:<model>``, as ``stage``."""
+    model, command, doc = stage
+    try:
+        return _COMMANDS[command](doc)
     except Exception as exc:
-        exc.stage = stage
+        exc.stage = f"{command}:{model}"
         raise
-    return {"model": model, **{k: metrics[k] for k in FIELDS}}
 
 
 def cmd_experiment(doc: dict) -> int:
@@ -356,22 +346,19 @@ def cmd_experiment(doc: dict) -> int:
     scenario = doc["scenario"]
     stage = "setup"
     try:
-        # Config errors surface here, before any output but failure.json.
-        stage_docs = _experiment_stage_docs(doc)
-        fit_docs = []
-        for model in doc["models"]:
-            stage = f"fit:{model}"
-            fit_doc = _resolve_fit_doc(stage_docs[model])[0]
-            cfg.validate("fit", fit_doc)
-            fit_docs.append(fit_doc)
+        # Every stage document is checked, and every fit's settings built,
+        # before any output but failure.json.
+        stages = _experiment_stages(doc)
+        for model, command, stage_doc in stages:
+            stage = f"{command}:{model}"
+            cfg.validate(command, stage_doc)
+            if command == "fit":
+                _resolve_fit_doc(stage_doc)
 
         stage = "generate"
         if scenario in ("d1", "d2"):
-            gen_doc = {
-                "n_train": doc["n_train"], "n_test": doc["n_test"],
-                "cube_half_width": doc["cube_half_width"], "seed": doc["seed"],
-                "generator": doc["generator"], "out_dir": out,
-            }
+            gen_doc = {k: doc[k] for k in cfg.GENERATE_SCHEMA["properties"]
+                       if k in doc}
             cfg.validate("generate", gen_doc)
             cmd_generate(gen_doc)
             planes = None
@@ -380,18 +367,26 @@ def cmd_experiment(doc: dict) -> int:
 
         resolved = dict(doc)
         resolved["derived_seeds"] = {
-            m: d["chain"]["seed"] for m, d in stage_docs.items()}
+            m: d["chain"]["seed"] for m, c, d in stages if c == "fit"}
         if planes is not None:
             resolved["holdout_planes"] = planes
         dump_json(os.path.join(out, "resolved-config.json"), resolved)
 
         # One worker per model (at most three), not capped at the CPU count.
-        # A worker that dies without its results leaves this stage.
+        # fork_map gives each worker one contiguous block of the stages, so
+        # a model's fit, predict and evaluate run in order in one process.
+        # A worker that dies without its results, after no earlier failure,
+        # leaves this stage.
         stage = f"fit:{doc['models'][-1]}"
-        pipeline = functools.partial(_model_pipeline, out, scenario)
-        rows = fork_map(pipeline, fit_docs, len(fit_docs))
+        fork_map(_run_stage, stages, len(doc["models"]))
 
         stage = "report"
+        rows = []
+        for model in doc["models"]:
+            with open(os.path.join(out, model, "metrics.json"),
+                      encoding="utf-8") as f:
+                metrics = json.load(f)
+            rows.append({"model": model, **{k: metrics[k] for k in FIELDS}})
         _write_comparison(out, scenario, rows)
         if planes is not None:
             _write_per_plane_table(doc, planes)
@@ -414,7 +409,8 @@ def _generate_plane_holdout(doc: dict) -> list[float]:
     y = sample_gp_outputs(generator, X, rng)
 
     xs = np.linspace(-half, half, grid["nx"])
-    plane_rng = np.random.Generator(np.random.PCG64(doc["seed"] + _PLANE_SEED_OFFSET))
+    plane_rng = np.random.Generator(
+        np.random.PCG64(doc["seed"] + _SEED_OFFSETS["planes"]))
     chosen = np.sort(plane_rng.choice(xs, size=doc["n_holdout_planes"],
                                       replace=False))
     split = holdout_planes(Dataset(X, y), "x", chosen.tolist(), tol=1e-9)

@@ -146,34 +146,29 @@ EVALUATE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# The settings an experiment passes on to each model's fit.
+FIT_SETTINGS = ("noise_sd", "standardize", "priors", "proposal_scales",
+                "chain")
+
 EXPERIMENT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "experiment command configuration",
     "type": "object",
     "properties": {
         "scenario": {"enum": ["d1", "d2", "plane-holdout"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
         "models": {
             "type": "array",
             "items": _MODEL,
             "minItems": 1,
             "uniqueItems": True,
         },
-        "n_train": {"type": "integer", "minimum": 1},
-        "n_test": {"type": "integer", "minimum": 1},
-        "cube_half_width": _POSITIVE,
-        "generator": _MODEL_SPEC,
-        "noise_sd": _POSITIVE,
-        "standardize": {"type": "boolean"},
-        "priors": _PRIORS,
-        "proposal_scales": _SCALES,
+        **GENERATE_SCHEMA["properties"],
+        **{k: FIT_SCHEMA["properties"][k] for k in FIT_SETTINGS},
         "proposal_scales_by_model": {
             "type": "object",
             "properties": dict.fromkeys(SPECS, _SCALES),
             "additionalProperties": False,
         },
-        "chain": _CHAIN,
         "grid": {
             "type": "object",
             "properties": {
@@ -415,6 +410,8 @@ def load_json(path) -> dict:
 
 def profile_from_dict(doc: dict):
     if doc["type"] == "se":
+        if "nu" in doc:
+            raise ConfigError("se profile takes no 'nu'")
         return SquaredExponential()
     if "nu" not in doc:
         raise ConfigError("matern profile requires 'nu'")
@@ -425,6 +422,10 @@ def metric_params_from_dict(doc: dict) -> MetricParams:
     kind = doc.get("model")
     if kind not in SPECS:
         raise ConfigError(f"unknown model {kind!r}")
+    # a spec's table has one row per field, keyed by the field's name
+    stray = doc.keys() - {"model", "profile", "noise_sd", *SPECS[kind].table}
+    if stray:
+        raise ConfigError(f"{kind} model spec has no field {min(stray)!r}")
     try:
         return SPECS[kind].from_dict(doc)
     except KeyError as exc:

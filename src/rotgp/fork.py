@@ -74,7 +74,9 @@ def fork_map(fn, items: list, processes: int) -> list:
     forked workers, each given one contiguous block of ``items``. Each
     item's printed text is written here, stderr then stdout, in input order,
     up to and including the first failing item, whose error is then raised,
-    as in the loop.
+    as in the loop. A worker that exits without its results fails its
+    block's first item with a ``RuntimeError`` that prints nothing, so a
+    failure in an earlier block is still the one raised.
 
     With one process, or inside a worker (which is daemonic and may not
     start children), ``fn`` runs in this process and prints as it goes.
@@ -116,9 +118,9 @@ def fork_map(fn, items: list, processes: int) -> list:
         for _, reader in workers:
             try:
                 outcomes += reader.recv()
-            except EOFError:
-                raise RuntimeError(
-                    "a worker process exited without its results") from None
+            except EOFError:  # its block's first item stands for the block
+                outcomes.append((None, RuntimeError(
+                    "a worker process exited without its results"), "", ""))
     except BaseException:
         for proc, _ in workers:
             proc.terminate()

@@ -102,7 +102,6 @@ class Ard(_Spec):
     lengthscales: np.ndarray
 
     kind = "ard"
-    seed_offset = 103  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z")
     table = {"lengthscales": _LENGTHSCALES}
 
@@ -123,7 +122,6 @@ class Rotational(_Spec):
     axis_angle: np.ndarray
 
     kind = "rotational"
-    seed_offset = 101  # of the fit seed from an experiment's base seed
     names = ("l_x", "l_y", "l_z", "a_1", "a_2", "a_3")
     table = {"lengthscales": _LENGTHSCALES,
              "axis_angle": Row("axis_angle", "axis_angle", "add",
@@ -154,7 +152,6 @@ class CholeskySpd(_Spec):
     offdiag: np.ndarray
 
     kind = "spd"
-    seed_offset = 102  # of the fit seed from an experiment's base seed
     names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
     table = {"diag": Row("cholesky", "spd", "scale", "spd_logdiag_sd"),
              "offdiag": Row("cholesky", "spd", "add", "spd_offdiag_sd")}

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from rotgp import cli
 from rotgp.cli import _load_locations, _read_predictions, main
 from rotgp.config import EXPERIMENT_PRESETS, SCHEMAS, ConfigError, validate
 from rotgp.data import load_csv
 from rotgp.mcmc import load_chain_csv
+from rotgp.metric import SPECS
 from rotgp.table import dump_json
 
 TRAIN_N, TEST_N = 40, 20
@@ -654,6 +656,11 @@ class TestExperiment:
         assert marker["stage"] == "fit:ard"
         assert (out / "train.csv").exists()  # earlier outputs retained
 
+    def test_each_model_fit_has_its_own_seed_offset(self):
+        offsets = [cli._SEED_OFFSETS[kind] for kind in SPECS]
+        assert all(isinstance(offset, int) for offset in offsets)
+        assert len(set(offsets)) == len(offsets)
+
     def test_preset_chains(self):
         desk = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
                 "block_updates": False, "sample_noise": False}
@@ -746,7 +753,7 @@ class TestExperiment:
                                                   monkeypatch):
         # Workers that exit without results leave no stage of their own, so
         # the stage is the one set before the fork: the last model's fit.
-        monkeypatch.setattr("rotgp.cli.cmd_fit", lambda doc: os._exit(1))
+        monkeypatch.setitem(cli._COMMANDS, "fit", lambda doc: os._exit(1))
         out = tmp_path / "expdead"
         cfg = write_json(tmp_path / "xd.json", {
             "scenario": "d2", "seed": 9, "out_dir": str(out),
@@ -756,6 +763,43 @@ class TestExperiment:
         marker = json.loads((out / "failure.json").read_text())
         assert marker == {"stage": "fit:spd", "error":
                           "a worker process exited without its results"}
+
+    def test_dead_worker_after_a_failing_model_names_that_model(
+            self, tmp_path, monkeypatch):
+        # As in the loop: the ARD fit fails at its invalid start, so the
+        # SPD worker that exits without results does not hide that failure.
+        fit = cli._COMMANDS["fit"]
+        monkeypatch.setitem(cli._COMMANDS, "fit", lambda doc: (
+            os._exit(1) if doc["model"] == "spd" else fit(doc)))
+        out = tmp_path / "expdeadlater"
+        cfg = write_json(tmp_path / "xdl.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 10, "n_test": 5, "models": ["ard", "spd"],
+            "priors": {"lengthscale_mean": [-0.5, 0.5, 0.5]},
+            "chain": {"n_iters": 100, "burn_in": 50}})
+        assert main(["experiment", "--config", cfg]) == 1
+        marker = json.loads((out / "failure.json").read_text())
+        assert marker["stage"] == "fit:ard"
+        assert marker["error"].startswith("initial state has invalid posterior")
+        assert not (out / "spd").exists()  # its worker died first
+
+    @pytest.mark.parametrize("target, stage", [
+        ("generate_synthetic", "generate"), ("predict", "predict:ard"),
+        ("compute_metrics", "evaluate:ard"), ("_write_comparison", "report")])
+    def test_failing_stage_is_named(self, tmp_path, monkeypatch, target,
+                                    stage):
+        def fail(*args, **kwargs):
+            raise ValueError(f"{target} failed")
+
+        monkeypatch.setattr(f"rotgp.cli.{target}", fail)
+        out = tmp_path / "expstage"
+        cfg = write_json(tmp_path / "xst.json", {
+            "scenario": "d2", "seed": 9, "out_dir": str(out),
+            "n_train": 10, "n_test": 5, "models": ["ard", "spd"],
+            "chain": {"n_iters": 100, "burn_in": 50}})
+        assert main(["experiment", "--config", cfg]) == 1
+        marker = json.loads((out / "failure.json").read_text())
+        assert marker == {"stage": stage, "error": f"{target} failed"}
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT,
@@ -955,7 +999,9 @@ _MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
     "predict-summary-not-json", "predict-summary-without-params",
     "predict-matern", "predict-no-model-source", "experiment-float-n-train",
     "config-list", "config-number", "config-null", "experiment-scenario-list",
-    "experiment-scenario-object"])
+    "experiment-scenario-object", "generate-stray-field", "generate-se-nu",
+    "fit-se-nu", "predict-stray-field", "experiment-generator-stray-field",
+    "experiment-generator-se-nu"])
 def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
                                             case):
     # Every input is read and every setting built before the output
@@ -976,6 +1022,13 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
     # a scenario that is no preset name is left to the schema
     no_scenario = ("invalid experiment config at scenario: {} is not one of "
                    "['d1', 'd2', 'plane-holdout']")
+    # a model document may hold only its own spec's fields, and se no nu
+    stray = {**_MATERN_WITHOUT_NU, "profile": {"type": "se"},
+             "axis_angle": [1, 0, 0], "diag": [1, 1, 1]}
+    no_stray = "ard model spec has no field 'axis_angle'"
+    se_nu = {**_MATERN_WITHOUT_NU, "profile": {"type": "se", "nu": 2.5}}
+    no_se_nu = "se profile takes no 'nu'"
+    small_chain = {"n_iters": 100, "burn_in": 50}
     command, doc, error = {
         "generate-matern": ("generate", {
             "n_train": 5, "n_test": 5, "seed": 0,
@@ -1022,12 +1075,37 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
             "scenario": [], "seed": 1}, no_scenario.format([])),
         "experiment-scenario-object": ("experiment", {
             "scenario": {}, "seed": 1}, no_scenario.format({})),
+        "generate-stray-field": ("generate", {
+            "n_train": 5, "n_test": 5, "seed": 0, "generator": stray},
+            no_stray),
+        "generate-se-nu": ("generate", {
+            "n_train": 5, "n_test": 5, "seed": 0, "generator": se_nu},
+            no_se_nu),
+        "fit-se-nu": ("fit", {
+            "train_csv": train, "model": "ard",
+            "profile": {"type": "se", "nu": 2.5}}, no_se_nu),
+        "predict-stray-field": ("predict", {
+            "train_csv": train, "test_csv": test, "model_params": stray},
+            no_stray),
+        "experiment-generator-stray-field": ("experiment", {
+            "scenario": "d2", "seed": 1, "n_train": 10, "n_test": 5,
+            "generator": stray, "chain": small_chain}, no_stray),
+        "experiment-generator-se-nu": ("experiment", {
+            "scenario": "plane-holdout", "seed": 1,
+            "grid": {"nx": 4, "ny": 3, "nz": 3}, "n_holdout_planes": 1,
+            "generator": se_nu, "chain": small_chain}, no_se_nu),
     }[case]
     out = tmp_path / "out"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert not out.exists()
+    if case.startswith("experiment-generator"):
+        # an experiment leaves only its failure.json
+        assert os.listdir(out) == ["failure.json"]
+        assert json.loads((out / "failure.json").read_text()) == {
+            "stage": "generate", "error": error}
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["directory", "not-utf8", "below-a-file"])
