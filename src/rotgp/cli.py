@@ -299,7 +299,6 @@ def _experiment_stages(doc: dict) -> list[tuple]:
     out = doc["out_dir"]
     settings = {k: doc[k] for k in cfg.FIT_SETTINGS if k in doc}
     settings.setdefault("noise_sd", doc["generator"]["noise_sd"])
-    by_model = doc.get("proposal_scales_by_model", {})
     stages = []
     for model in doc["models"]:
         model_out = os.path.join(out, model)
@@ -307,7 +306,6 @@ def _experiment_stages(doc: dict) -> list[tuple]:
             "train_csv": os.path.join(out, "train.csv"),
             "model": model,
             "profile": doc["generator"]["profile"],
-            "proposal_scales": by_model.get(model, {}),
             "chain": {"seed": doc["seed"] + _SEED_OFFSETS[model]},
             "out_dir": model_out,
         })
@@ -327,14 +325,20 @@ def _experiment_stages(doc: dict) -> list[tuple]:
     return stages
 
 
+def _stage_name(stage: tuple) -> str:
+    """An experiment stage's name in ``failure.json``: ``<command>:<model>``."""
+    model, command, _ = stage
+    return f"{command}:{model}"
+
+
 def _run_stage(stage: tuple) -> int:
     """Run one experiment stage's command; an error carries the stage's
-    name, ``<command>:<model>``, as ``stage``."""
-    model, command, doc = stage
+    name as ``stage``."""
+    _, command, doc = stage
     try:
         return _COMMANDS[command](doc)
     except Exception as exc:
-        exc.stage = f"{command}:{model}"
+        exc.stage = _stage_name(stage)
         raise
 
 
@@ -349,8 +353,9 @@ def cmd_experiment(doc: dict) -> int:
         # Every stage document is checked, and every fit's settings built,
         # before any output but failure.json.
         stages = _experiment_stages(doc)
-        for model, command, stage_doc in stages:
-            stage = f"{command}:{model}"
+        for item in stages:
+            _, command, stage_doc = item
+            stage = _stage_name(item)
             cfg.validate(command, stage_doc)
             if command == "fit":
                 _resolve_fit_doc(stage_doc)
@@ -376,9 +381,14 @@ def cmd_experiment(doc: dict) -> int:
         # fork_map gives each worker one contiguous block of the stages, so
         # a model's fit, predict and evaluate run in order in one process.
         # A worker that dies without its results, after no earlier failure,
-        # leaves this stage.
-        stage = f"fit:{doc['models'][-1]}"
-        fork_map(_run_stage, stages, len(doc["models"]))
+        # fails the first stage of its block.
+        stage = "fork"
+        try:
+            fork_map(_run_stage, stages, len(doc["models"]))
+        except RuntimeError as exc:
+            if hasattr(exc, "item"):
+                exc.stage = _stage_name(exc.item)
+            raise
 
         stage = "report"
         rows = []

@@ -164,11 +164,6 @@ EXPERIMENT_SCHEMA = {
         },
         **GENERATE_SCHEMA["properties"],
         **{k: FIT_SCHEMA["properties"][k] for k in FIT_SETTINGS},
-        "proposal_scales_by_model": {
-            "type": "object",
-            "properties": dict.fromkeys(SPECS, _SCALES),
-            "additionalProperties": False,
-        },
         "grid": {
             "type": "object",
             "properties": {
@@ -325,12 +320,6 @@ GENERATE_PRESETS = {
 # The default chain; an experiment derives each model's seed from its own.
 _DESK_CHAIN = {k: v for k, v in vars(ChainConfig()).items() if k != "seed"}
 
-# The rotational model updates six coupled coordinates per joint proposal,
-# so desk-scale runs need smaller steps than the three-parameter baselines
-# to land in the acceptance-rate window; tuned once and pinned here.
-_SCALES_BY_MODEL = {"rotational": {"log_lengthscale": 0.025,
-                                   "axis_angle": 0.03}}
-
 # Desk-scale d1 and d2 experiments: every model on a small draw.
 _DESK_EXPERIMENT = {
     "models": ["rotational", "spd", "ard"],
@@ -338,7 +327,6 @@ _DESK_EXPERIMENT = {
     "n_test": 150,
     "cube_half_width": 1.0,
     "standardize": False,
-    "proposal_scales_by_model": _SCALES_BY_MODEL,
     "chain": _DESK_CHAIN,
 }
 
@@ -354,7 +342,6 @@ EXPERIMENT_PRESETS = {
         "cube_half_width": 1.0,
         "generator": _PLANE_GENERATOR,
         "standardize": False,
-        "proposal_scales_by_model": _SCALES_BY_MODEL,
         "grid": {"nx": 10, "ny": 8, "nz": 6},
         "n_holdout_planes": 5,
         "chain": {**_DESK_CHAIN, "n_iters": 12_000, "burn_in": 6_000},

@@ -75,8 +75,9 @@ def fork_map(fn, items: list, processes: int) -> list:
     item's printed text is written here, stderr then stdout, in input order,
     up to and including the first failing item, whose error is then raised,
     as in the loop. A worker that exits without its results fails its
-    block's first item with a ``RuntimeError`` that prints nothing, so a
-    failure in an earlier block is still the one raised.
+    block's first item with a ``RuntimeError`` that prints nothing and
+    carries that item as ``item``, so a failure in an earlier block is still
+    the one raised.
 
     With one process, or inside a worker (which is daemonic and may not
     start children), ``fn`` runs in this process and prints as it goes.
@@ -111,22 +112,24 @@ def fork_map(fn, items: list, processes: int) -> list:
                                        daemon=True)
                 proc.start()
                 writer.close()
-                workers.append((proc, reader))
+                workers.append((proc, reader, items[lo]))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         outcomes = []
-        for _, reader in workers:
+        for _, reader, first in workers:
             try:
                 outcomes += reader.recv()
             except EOFError:  # its block's first item stands for the block
-                outcomes.append((None, RuntimeError(
-                    "a worker process exited without its results"), "", ""))
+                error = RuntimeError("a worker process exited without its "
+                                     "results")
+                error.item = first
+                outcomes.append((None, error, "", ""))
     except BaseException:
-        for proc, _ in workers:
+        for proc, _, _ in workers:
             proc.terminate()
         raise
     finally:
-        for proc, reader in workers:
+        for proc, reader, _ in workers:
             proc.join()
             reader.close()
         signal.signal(signal.SIGTERM, previous)

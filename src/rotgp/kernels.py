@@ -19,6 +19,15 @@ JITTER_CAP = 1e-4
 
 _HALF_INTEGER_NU = (0.5, 1.5, 2.5)
 
+# The SE profile is floored at exp(-353), about 5e-154, whose square is still
+# a normal double. Past it, at psi above 706, numpy's exp gives subnormals or
+# 0 through a scalar path, 15-170 times slower per entry, and dpotrf took up
+# to 100 times longer on a Gram whose entries multiply to subnormals (numpy
+# 2.4, OpenBLAS 0.3.30, x86-64): a chain at short length-scales, where most
+# of the Gram is that far, paid both on every likelihood. The floor moves a
+# log-likelihood far less than its round-off.
+_SE_FLOOR = -353.0
+
 
 class GramFactorizationError(RuntimeError):
     """Gram matrix could not be factorized within the jitter cap."""
@@ -87,7 +96,8 @@ def radial_profile(profile: KernelProfile, psi, out=None):
     """Evaluate the kernel profile at squared distance(s) ``psi``.
 
     Accepts scalars or arrays; returns values in (0, 1] with
-    ``radial_profile(p, 0) == 1`` for every profile. An array ``out`` of
+    ``radial_profile(p, 0) == 1`` for every profile, the SE profile floored
+    at ``exp(_SE_FLOOR)``. An array ``out`` of
     ``psi``'s shape receives the result and may be ``psi`` itself.
     """
     psi_arr = np.asarray(psi, dtype=float)
@@ -95,6 +105,8 @@ def radial_profile(profile: KernelProfile, psi, out=None):
         out = np.empty_like(psi_arr)
     if isinstance(profile, SquaredExponential):
         np.multiply(psi_arr, -0.5, out=out)
+        if out.min(initial=0.0) < _SE_FLOOR:  # cheaper than a clamp pass
+            np.maximum(out, _SE_FLOOR, out=out)
         np.exp(out, out=out)
     else:
         r = np.multiply(psi_arr, 2.0 * profile.nu, out=out)

@@ -13,6 +13,11 @@ lives on the raw coordinate, so their log-scale walk carries the
 log-proposal Jacobian in the acceptance ratio and the target density is
 unchanged.
 
+Each update group walks by one Gaussian step over the coordinates its moves
+walk. Burn-in learns that step's covariance (:class:`_Walk`), and the stored
+chain is plain Metropolis-Hastings with the kernel frozen at the end of
+burn-in.
+
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order.
 """
@@ -38,6 +43,11 @@ CHAIN_MINIMA = {"n_iters": 1, "burn_in": 0, "seed": 0, "thin": 1}
 # Acceptance rates outside this window flag the run for inspection; they do
 # not fail it.
 ACCEPT_RATE_WINDOW = (0.05, 0.7)
+
+# Burn-in adapts each group's walk towards this acceptance rate, and
+# re-estimates its covariance every ADAPT_EVERY iterations (see _Walk).
+TARGET_ACCEPT = 0.234
+ADAPT_EVERY = 25
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -81,13 +91,8 @@ class Priors:
 
 @dataclass
 class ProposalScales:
-    """Random-walk standard deviations per parameter block.
-
-    ``log_noise`` is wide because the log noise variance is weakly identified
-    at desk scale; 1.0 keeps the noise block's acceptance inside
-    ``ACCEPT_RATE_WINDOW`` on d1 fits at n=300 for every model. ``axis_angle``
-    is 0.03 because a rotational d1 posterior at n=300 is narrow in the
-    rotation: 0.08 accepts under 0.05 of the moves once a chain reaches it.
+    """Starting random-walk standard deviations per parameter block: the
+    diagonal that burn-in adapts from, and falls back to (see :class:`_Walk`).
     """
 
     log_lengthscale: float = 0.05
@@ -189,7 +194,8 @@ class PosteriorSummary:
 
 
 # Each move by name: its walk of x by eps, the coordinate its prior is on and
-# that coordinate's inverse, and whether x must be positive. ``add`` walks
+# that coordinate's inverse, and whether x must be positive, which is whether
+# the walk is on log x (the coordinate _Walk learns in). ``add`` walks
 # x + eps with the prior on x; ``scale`` x * exp(eps) with the prior on log x;
 # ``jacobian`` x * exp(eps) with the prior on x > 0, so the acceptance ratio
 # carries the log-proposal Jacobian sum(eps). ``log`` is the noise's: it keeps
@@ -281,33 +287,117 @@ def _score(x: np.ndarray, model: GPModel, priors: Priors,
     return SamplerState(x, ll, lp)
 
 
+@functools.cache
+def _group(spec: type, sample_noise: bool, blocks: tuple | None) -> tuple:
+    """The :func:`layout` parts that an update of ``blocks`` moves; None
+    moves them all."""
+    return tuple((part, row) for part, row in layout(spec, sample_noise)
+                 if blocks is None or row.block in blocks)
+
+
 def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
             priors: Priors, scales: ProposalScales, rng: np.random.Generator,
-            blocks: list[str] | None = None) -> tuple[SamplerState, bool]:
+            blocks: list[str] | None = None,
+            walk: np.ndarray | None = None) -> tuple[SamplerState, bool]:
     """One Metropolis-Hastings update of ``blocks``, by default all of them
-    jointly; the noise is sampled when ``state.x`` holds it. Each moved field
-    draws ``rng.normal(0, step, size)``, in layout order. Proposals whose
-    prior is -inf or whose Gram matrix cannot be factorized are rejected
-    without further work."""
+    jointly; the noise is sampled when ``state.x`` holds it. The moved
+    fields' steps, in layout order, are ``walk @ rng.normal(0, 1, d)``:
+    ``walk`` is a factor of the step's covariance, by default the diagonal
+    of ``scales``. Proposals whose prior is -inf or whose Gram matrix cannot
+    be factorized are rejected without further work."""
     spec = type(model.params)
+    parts = _group(spec, state.x.size > len(spec.names),
+                   None if blocks is None else tuple(blocks))
+    if walk is None:
+        walk = np.diag(_steps(parts, scales))
     x, jac = state.x.copy(), 0.0
     # a move that overflows lands outside the prior's support, and is
     # rejected there
-    with np.errstate(over="ignore"):
-        for part, row in layout(spec, state.x.size > len(spec.names)):
-            if blocks is None or row.block in blocks:
-                eps = rng.normal(0.0, getattr(scales, row.step),
-                                 part.stop - part.start)
-                x[part] = _MOVES[row.move][0](x[part], eps)
-                if row.move == "jacobian":
-                    jac += float(np.sum(eps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = walk @ rng.normal(0.0, 1.0, len(walk))
+        for part, row in parts:
+            e, eps = eps[:part.stop - part.start], eps[part.stop - part.start:]
+            x[part] = _MOVES[row.move][0](x[part], e)
+            if row.move == "jacobian":
+                jac += float(np.sum(e))
     new = _score(x, model, priors, data)
-    log_alpha = new.log_post - state.log_post + jac
-    if log_alpha == _NEG_INF:
+    if new.log_post == _NEG_INF:  # its jac may be nan: inf * 0 in the walk
         return state, False
+    log_alpha = new.log_post - state.log_post + jac
     if rng.uniform() < math.exp(min(log_alpha, 0.0)):
         return new, True
     return state, False
+
+
+def _steps(parts: tuple, scales: ProposalScales) -> np.ndarray:
+    """Each moved coordinate's starting step, in layout order."""
+    return np.concatenate([np.full(part.stop - part.start,
+                                   float(getattr(scales, row.step)))
+                           for part, row in parts])
+
+
+class _Walk:
+    """One update group's step covariance, learnt during burn-in (Haario,
+    Saksman & Tamminen 2001) and then frozen (Andrieu & Thoms 2008). Its
+    coordinates are the ones the group's moves walk: log x where x must be
+    positive, x itself otherwise.
+
+    :meth:`learn` runs after each burn-in iteration. A Robbins-Monro factor
+    ``exp(log_scale)`` moves the acceptance towards ``TARGET_ACCEPT`` at
+    every one. Every ``ADAPT_EVERY`` iterations, and at the end of burn-in,
+    the covariance is re-estimated as (2.38^2 / d) times that of a recent
+    window, plus a small ridge, and the factor restarts at 1, because the
+    window's spread already carries the step's size. The window is the
+    latest quarter of the burn-in so far, and at least its latest
+    ``2 * ADAPT_EVERY`` states: short enough to follow a chain that is still
+    climbing, long enough to be stationary at the end of a long burn-in. A
+    window with fewer than 2 d distinct states, or whose covariance is not
+    positive definite, gives the starting diagonal of ``ProposalScales``
+    instead. A burn-in shorter than ``ADAPT_EVERY`` adapts nothing.
+    """
+
+    def __init__(self, parts: tuple, scales: ProposalScales, burn_in: int):
+        self.steps = _steps(parts, scales)
+        self.index = np.concatenate([np.arange(part.start, part.stop)
+                                     for part, _ in parts])
+        self.log = np.concatenate([np.full(part.stop - part.start,
+                                           _MOVES[row.move][3])
+                                   for part, row in parts])
+        self.burn_in = burn_in if burn_in >= ADAPT_EVERY else 0
+        self.states = np.empty((self.burn_in, len(self.steps)))
+        self.cov_factor = np.diag(self.steps)
+        self.log_scale = 0.0
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The factor of the step's covariance that ``mh_step`` takes."""
+        return math.exp(self.log_scale) * self.cov_factor
+
+    def learn(self, i: int, accepted: bool, x: np.ndarray) -> None:
+        """Adapt to burn-in iteration ``i`` (from 1), which left the chain
+        at ``x`` after this group's update."""
+        if i > self.burn_in:
+            return
+        w = x[self.index]
+        w[self.log] = np.log(w[self.log])
+        self.states[i - 1] = w
+        self.log_scale += (accepted - TARGET_ACCEPT) * i ** -0.6
+        if i % ADAPT_EVERY == 0 or i == self.burn_in:
+            window = self.states[max(0, i - max(2 * ADAPT_EVERY, i // 4)):i]
+            self.cov_factor = self._estimate(window)
+            self.log_scale = 0.0
+
+    def _estimate(self, window: np.ndarray) -> np.ndarray:
+        d = window.shape[1]
+        # proposals are continuous, so a chain never returns to a state
+        moves = np.count_nonzero(np.any(window[1:] != window[:-1], axis=1))
+        if 1 + moves >= 2 * d:
+            cov = np.atleast_2d(np.cov(window, rowvar=False)) * (2.38 ** 2 / d)
+            try:
+                return np.linalg.cholesky(cov + 1e-10 * np.eye(d))
+            except np.linalg.LinAlgError:
+                pass
+        return np.diag(self.steps)
 
 
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
@@ -324,7 +414,9 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     ``model`` is a template: its ``params`` field selects the
     parameterisation, its ``profile`` and ``noise_var`` are used as given
     (noise_var is ignored when ``config.sample_noise``). ``data=None``
-    samples the prior (constant likelihood).
+    samples the prior (constant likelihood). ``scales`` are the starting
+    steps; burn-in adapts each update group's walk (:class:`_Walk`), so
+    adaptation costs no likelihood.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spec = type(model.params)
@@ -340,6 +432,9 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
         row.block for _, row in layout(spec, config.sample_noise)))
     groups = ({b: [b] for b in blocks} if config.block_updates
               else {"joint": blocks})
+    walks = {name: _Walk(_group(spec, config.sample_noise, tuple(group)),
+                         scales, config.burn_in)
+             for name, group in groups.items()}
     accept_counts = dict.fromkeys(groups, 0)
 
     names = columns(spec, config.sample_noise)
@@ -351,8 +446,10 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     kept = 0
     for i in range(1, config.n_iters + 1):
         for name, group in groups.items():
+            walk = walks[name]
             state, accepted = mh_step(state, data, model, priors, scales,
-                                     rng, group)
+                                     rng, group, walk.factor)
+            walk.learn(i, accepted, state.x)
             accept_counts[name] += accepted
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             iters[kept] = i

@@ -53,9 +53,12 @@ def exp_so3(a) -> np.ndarray:
 def geodesic_angle(R) -> float:
     """Minimal rotation angle between ``R`` and the identity, in [0, pi].
 
-    Computed from the trace; the arccos argument is clamped to [-1, 1]
-    because round-off can push the trace slightly out of range.
+    ``atan2(sin, cos)``, with the cosine from the trace and the sine from the
+    skew part of ``R``: an arccos of the trace alone loses half the digits
+    near 0 and pi, where a round-off of 1e-16 in the trace gives 1e-8 rad.
     """
     R = np.asarray(R, dtype=float)
+    s = 0.5 * float(np.linalg.norm(
+        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]))
     c = 0.5 * (np.trace(R) - 1.0)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    return float(np.arctan2(s, c))

@@ -749,11 +749,19 @@ class TestExperiment:
         assert (out / "spd" / "metrics.json").exists()
         assert not (out / "comparison.csv").exists()
 
-    def test_dead_worker_names_the_last_fit_stage(self, tmp_path,
-                                                  monkeypatch):
-        # Workers that exit without results leave no stage of their own, so
-        # the stage is the one set before the fork: the last model's fit.
-        monkeypatch.setitem(cli._COMMANDS, "fit", lambda doc: os._exit(1))
+    @pytest.mark.parametrize("killed, stage", [
+        (("ard", "spd"), "fit:ard"),
+        (("ard",), "fit:ard"),
+        (("spd",), "fit:spd"),
+    ], ids=["both", "ard-only", "spd-only"])
+    def test_dead_worker_names_its_own_first_stage(self, tmp_path,
+                                                   monkeypatch, killed, stage):
+        # A worker that exits without results fails the first stage of its
+        # own block, that model's fit, whichever worker it is; the first
+        # such block in model order is reported.
+        fit = cli._COMMANDS["fit"]
+        monkeypatch.setitem(cli._COMMANDS, "fit", lambda doc: (
+            os._exit(1) if doc["model"] in killed else fit(doc)))
         out = tmp_path / "expdead"
         cfg = write_json(tmp_path / "xd.json", {
             "scenario": "d2", "seed": 9, "out_dir": str(out),
@@ -761,7 +769,7 @@ class TestExperiment:
             "chain": {"n_iters": 100, "burn_in": 50}})
         assert main(["experiment", "--config", cfg]) == 1
         marker = json.loads((out / "failure.json").read_text())
-        assert marker == {"stage": "fit:spd", "error":
+        assert marker == {"stage": stage, "error":
                           "a worker process exited without its results"}
 
     def test_dead_worker_after_a_failing_model_names_that_model(
@@ -909,7 +917,7 @@ class TestSchemas:
         ("experiment", {"scenario": "d1", "seed": 1.5, "out_dir": "o",
                         "models": ["ard", "ard2"]}),
         ("experiment", {"scenario": "d1", "seed": 1, "out_dir": "o",
-                        "proposal_scales_by_model": {"iso": {}}}),
+                        "proposal_scales": {"iso": 0.1}}),
     ])
     def test_error_text_matches_jsonschema_validate(self, command, doc):
         # rotgp's own schema walker must give the message that
@@ -1001,7 +1009,7 @@ _MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
     "config-list", "config-number", "config-null", "experiment-scenario-list",
     "experiment-scenario-object", "generate-stray-field", "generate-se-nu",
     "fit-se-nu", "predict-stray-field", "experiment-generator-stray-field",
-    "experiment-generator-se-nu"])
+    "experiment-generator-se-nu", "experiment-scales-by-model"])
 def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
                                             case):
     # Every input is read and every setting built before the output
@@ -1094,6 +1102,12 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
             "scenario": "plane-holdout", "seed": 1,
             "grid": {"nx": 4, "ny": 3, "nz": 3}, "n_holdout_planes": 1,
             "generator": se_nu, "chain": small_chain}, no_se_nu),
+        # burn-in adapts every model's steps, so no per-model steps remain
+        "experiment-scales-by-model": ("experiment", {
+            "scenario": "d1", "seed": 1,
+            "proposal_scales_by_model": {"rotational": {"axis_angle": 0.03}}},
+            "invalid experiment config at (root): Additional properties are "
+            "not allowed ('proposal_scales_by_model' was unexpected)"),
     }[case]
     out = tmp_path / "out"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

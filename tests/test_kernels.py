@@ -94,6 +94,15 @@ class TestRadialProfile:
         assert radial_profile(Matern(2.5), 1e4) < 1e-12
         assert radial_profile(SquaredExponential(), 1e4) < 1e-12
 
+    def test_se_floor_keeps_products_normal(self):
+        # exp(-psi / 2) below, and the floor exp(-353) past psi = 706, where
+        # exp's results and the Gram's products would be subnormal or 0
+        psi = np.array([0.0, 2.0, 700.0, 706.0, 706.5, 1416.0, 1500.0, 1e6])
+        got = radial_profile(SquaredExponential(), psi)
+        assert np.array_equal(got, np.maximum(np.exp(-0.5 * psi),
+                                              np.exp(-353.0)))
+        assert np.all(got * got >= np.finfo(float).tiny)
+
     def test_matern_rejects_general_nu(self):
         with pytest.raises(ValueError):
             Matern(1.0)

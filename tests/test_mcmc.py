@@ -440,6 +440,124 @@ class TestPriorSampling:
         assert abs(draws.mean() - 1.0) < 3 * se_mean
         assert abs(draws.std(ddof=1) - 0.05) < 3 * se_sd
 
+    @pytest.mark.parametrize("kind", list(SPECS))
+    @pytest.mark.parametrize("block_updates, sample_noise", [
+        (False, False), (False, True), (True, True)],
+        ids=["joint", "joint-noise", "blocks-noise"])
+    def test_adapted_chain_reproduces_the_prior(self, kind, block_updates,
+                                                sample_noise):
+        # Burn-in adapts the walk from the default steps, which are far too
+        # small for these priors; the frozen walk after it must still be a
+        # valid MH kernel for the prior: each part's marginal, on the
+        # coordinate its prior is declared on, is that Gaussian. The
+        # length-scale prior is narrow and away from zero, so its truncation
+        # at zero is negligible.
+        priors = Priors(lengthscale_mean=(0.5, 0.5, 0.5),
+                        lengthscale_sd=(0.1, 0.1, 0.1), axis_angle_sd=0.5)
+        cfg = ChainConfig(n_iters=30_000, burn_in=5_000, seed=31, thin=1,
+                          block_updates=block_updates,
+                          sample_noise=sample_noise)
+        chain = run_chain(cfg, None, template(kind), priors, ProposalScales())
+        s = chain.states
+        if kind == "spd":
+            marginals = ([(np.log(s[:, j]), 0.0, priors.spd_logdiag_sd)
+                          for j in range(3)]
+                         + [(s[:, j], 0.0, priors.spd_offdiag_sd)
+                            for j in range(3, 6)])
+        else:
+            marginals = [(s[:, j], 0.5, 0.1) for j in range(3)]
+        if kind == "rotational":
+            marginals += [(s[:, j], 0.0, 0.5) for j in range(3, 6)]
+        if sample_noise:
+            marginals.append((np.log(s[:, -1]), priors.log_noise_mean,
+                              priors.log_noise_sd))
+        for draws, mean, sd in marginals:
+            ess = effective_sample_size(draws)
+            assert abs(draws.mean() - mean) < 4 * sd / math.sqrt(ess)
+            assert abs(draws.std(ddof=1) - sd) < 0.1 * sd
+
+
+class TestAdaptation:
+    def test_rejecting_burn_in_falls_back_to_the_diagonal(self, monkeypatch):
+        # Axis-angle steps this large land where the prior is nil, so
+        # burn-in accepts nothing: every window holds one state, the walk
+        # keeps the starting diagonal, and the chain runs to its end.
+        fallbacks = []
+        original = mcmc._Walk._estimate
+
+        def estimate(self, window):
+            factor = original(self, window)
+            fallbacks.append(np.array_equal(factor, np.diag(self.steps)))
+            return factor
+
+        monkeypatch.setattr(mcmc._Walk, "_estimate", estimate)
+        cfg = ChainConfig(n_iters=200, burn_in=100, seed=5, thin=1)
+        chain = run_chain(cfg, tiny_data(), template("rotational"), Priors(),
+                          ProposalScales(log_lengthscale=30.0, axis_angle=1e3))
+        assert chain.accept_counts == {"joint": 0}
+        assert len(fallbacks) == 4 and all(fallbacks)
+        assert np.all(chain.states == chain.states[0])
+
+    def test_window_without_enough_distinct_states_gives_the_diagonal(self):
+        parts = mcmc._group(Rotational, False, None)
+        walk = mcmc._Walk(parts, ProposalScales(), 100)
+        rng = np.random.default_rng(0)
+        # eleven distinct states, each held three times; d = 6 needs twelve
+        few = np.repeat(rng.standard_normal((11, 6)), 3, axis=0)
+        assert np.array_equal(walk._estimate(few), np.diag(walk.steps))
+        # twelve distinct states on a line: singular, but the ridge keeps
+        # the factor real
+        line = np.outer(np.arange(12.0), np.ones(6))
+        factor = walk._estimate(line)
+        assert np.all(np.isfinite(factor))
+        assert not np.array_equal(factor, np.diag(walk.steps))
+
+    def test_minimal_chain_does_not_adapt(self, monkeypatch):
+        # The benchmark's set-up chain: two iterations, one of burn-in. Its
+        # second step must use the starting diagonal, as mh_step does by
+        # default, and no covariance is estimated.
+        monkeypatch.setattr(mcmc._Walk, "_estimate", None)
+        cfg = ChainConfig(n_iters=2, burn_in=1, seed=8, thin=1)
+        data, model = tiny_data(), template("spd")
+        chain = run_chain(cfg, data, model, Priors(), ProposalScales())
+        rng = np.random.Generator(np.random.PCG64(8))
+        state = initial_state(model, Priors(), data)
+        for _ in range(2):
+            state, _ = mh_step(state, data, model, Priors(), ProposalScales(),
+                               rng)
+        assert chain.states.tolist() == [state.x.tolist()]
+
+    @pytest.mark.parametrize("block_updates, groups", [(False, 1), (True, 3)],
+                             ids=["joint", "blocks"])
+    def test_adaptation_costs_no_likelihood(self, monkeypatch, block_updates,
+                                            groups):
+        # one likelihood at the start and one per group per iteration
+        calls = []
+        lml = mcmc.log_marginal_likelihood
+        monkeypatch.setattr(mcmc, "log_marginal_likelihood",
+                            lambda *args: calls.append(1) or lml(*args))
+        cfg = ChainConfig(n_iters=200, burn_in=100, seed=6, thin=1,
+                          block_updates=block_updates, sample_noise=True)
+        run_chain(cfg, tiny_data(), template("rotational"), Priors(),
+                  ProposalScales())
+        assert len(calls) == 200 * groups + 1
+
+    def test_ard_lengthscales_accept_inside_the_window(self, d1_desk_train):
+        # With the noise sampled and block updates, the default steps
+        # accepted 0.70-0.76 of the ARD length-scale moves on d1 at n=300.
+        # After burn-in the frozen walk must accept inside the window,
+        # counted from the stored rows.
+        cfg = ChainConfig(n_iters=400, burn_in=200, thin=1, seed=1,
+                          block_updates=True, sample_noise=True)
+        chain = run_chain(cfg, d1_desk_train,
+                          GPModel(SquaredExponential(),
+                                  template("ard").params, 0.0025),
+                          Priors(), ProposalScales())
+        ls = chain.states[:, :3]
+        rate = np.mean(np.any(ls[1:] != ls[:-1], axis=1))
+        lo, hi = ACCEPT_RATE_WINDOW
+        assert lo < rate < hi
+
 
 class TestSummarize:
     def test_degenerate_chain_zero_width(self):
