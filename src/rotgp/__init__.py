@@ -10,10 +10,10 @@ from .data import (DataFormatError, SplitDataset, SyntheticConfig,
                    generate_synthetic, holdout_planes, load_csv,
                    sample_gp_outputs, save_csv, standardize)
 from .gp import (Dataset, GPModel, PredictiveResult, log_marginal_likelihood,
-                 predict)
+                 log_marginal_likelihood_and_grad, predict)
 from .kernels import (GramFactorizationError, GramMatrix, KernelProfile,
                       Matern, SquaredExponential, cross_gram, gram,
-                      radial_profile)
+                      profile_slope, radial_profile)
 from .mcmc import (Chain, ChainConfig, ChainInitError, PosteriorSummary,
                    Priors, ProposalScales, SamplerState,
                    effective_sample_size, initial_state, load_chain_csv,
@@ -36,8 +36,9 @@ __all__ = [
     "SyntheticConfig", "build_metric", "compute_metrics", "cross_gram",
     "effective_sample_size", "eigen_summary", "exp_so3", "generate_synthetic",
     "geodesic_angle", "gram", "holdout_planes", "initial_state",
-    "load_chain_csv", "load_csv", "log_marginal_likelihood", "log_prior",
-    "mh_step", "misalignment_angles", "predict", "radial_profile",
+    "load_chain_csv", "load_csv", "log_marginal_likelihood",
+    "log_marginal_likelihood_and_grad", "log_prior", "mh_step",
+    "misalignment_angles", "predict", "profile_slope", "radial_profile",
     "run_chain", "sample_gp_outputs", "save_csv", "skew", "standardize",
     "summarize",
 ]

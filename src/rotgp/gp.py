@@ -1,17 +1,19 @@
 """Exact GP regression: log marginal likelihood and closed-form prediction.
 
 Everything goes through one Cholesky factorization of the training Gram
-matrix per call; no explicit inverse is ever formed. The prior mean is zero
-and the signal amplitude is fixed at one, so outputs are assumed centred and
-scaled by the caller.
+matrix per call; only the gradient forms an explicit inverse, from that
+factor. The prior mean is zero and the signal amplitude is fixed at one, so
+outputs are assumed centred and scaled by the caller.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 
-from .kernels import KernelProfile, cross_gram, gram
+from .kernels import (KernelProfile, _pairwise_sq_dist, cross_gram, gram,
+                      profile_slope)
 from .metric import MetricParams, build_metric
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -66,6 +68,18 @@ class PredictiveResult:
     var: np.ndarray
 
 
+def _solve(model: GPModel, data: Dataset):
+    """The log marginal likelihood, with the metric, Gram factor and
+    ``alpha = K^-1 y`` it came from."""
+    M = build_metric(model.params)
+    gm = gram(model.profile, M, data.X, model.noise_var)
+    C = gm.chol_lower
+    alpha = cho_solve((C, True), data.y, check_finite=False)
+    quad = float(data.y @ alpha)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(C))))
+    return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * LOG_2PI, M, C, alpha
+
+
 def log_marginal_likelihood(model: GPModel, data: Dataset) -> float:
     """Log marginal likelihood of the data under the model.
 
@@ -73,13 +87,38 @@ def log_marginal_likelihood(model: GPModel, data: Dataset) -> float:
     matrix; the quadratic form and log-determinant both come from its
     Cholesky factor.
     """
-    M = build_metric(model.params)
-    gm = gram(model.profile, M, data.X, model.noise_var)
-    C = gm.chol_lower
-    alpha = cho_solve((C, True), data.y, check_finite=False)
-    quad = float(data.y @ alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(C))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * LOG_2PI
+    return _solve(model, data)[0]
+
+
+def log_marginal_likelihood_and_grad(model: GPModel, data: Dataset
+                                     ) -> tuple[float, np.ndarray, float]:
+    """The log marginal likelihood L, dL/dM (3x3) and dL/dnoise_var.
+
+    With W = alpha alpha^T - K^-1 (Rasmussen & Williams 2006, 5.4) and
+    psi_ij = d_ij^T M d_ij for d_ij = x_i - x_j, dL/dM is
+    1/2 sum_ij W_ij k'(psi_ij) d_ij d_ij^T, a sum over the pairs i > j. With
+    A the strict lower triangle of W * k'(psi), zero where psi is
+    (coincident points, whose d d^T is 0), that is
+    X^T diag(A 1 + A^T 1) X - X^T A X - (X^T A X)^T. dL/dnoise_var is
+    1/2 tr W. K^-1 comes from the likelihood's own factor, so both cost
+    O(n^2) beyond it.
+    """
+    value, M, C, alpha = _solve(model, data)
+    # K^-1 in the lower triangle; the upper still holds Gram entries
+    K_inv, info = dpotri(C, lower=1)
+    if info != 0:
+        raise LinAlgError(f"dpotri failed with info={info}")
+    psi = _pairwise_sq_dist(M, data.X, data.X)
+    A = profile_slope(model.profile, psi)
+    A[psi == 0.0] = 0.0
+    A *= np.outer(alpha, alpha) - K_inv
+    A = np.tril(A, -1)
+    X = data.X
+    XAX = X.T @ A @ X
+    grad_M = (X.T @ ((A.sum(axis=0) + A.sum(axis=1))[:, None] * X)
+              - XAX - XAX.T)
+    grad_noise = 0.5 * (float(alpha @ alpha) - float(np.trace(K_inv)))
+    return value, grad_M, grad_noise
 
 
 def predict(model: GPModel, train: Dataset, X_test) -> PredictiveResult:

@@ -129,6 +129,27 @@ def radial_profile(profile: KernelProfile, psi, out=None):
     return out
 
 
+def profile_slope(profile: KernelProfile, psi) -> np.ndarray:
+    """The slope dk/dpsi of :func:`radial_profile` at the array ``psi``.
+
+    With r = sqrt(2 nu psi), a Matern profile's slope is (dk/dr) nu / r:
+    -exp(-r) / (2 r), -3/2 exp(-r) and -5/6 (1 + r) exp(-r) for nu = 1/2,
+    3/2 and 5/2. Matern 1/2's is infinite at psi = 0 and given as 0 there:
+    a pair at psi = 0 has d d^T = 0, so it adds nothing to a metric
+    gradient. The SE profile's is -k/2 of its floored value.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if isinstance(profile, SquaredExponential):
+        return -0.5 * radial_profile(profile, psi)
+    r = np.sqrt(2.0 * profile.nu * psi)
+    decay = np.exp(-r)
+    if profile.nu == 0.5:
+        return np.divide(-0.5 * decay, r, out=np.zeros_like(r), where=r > 0.0)
+    if profile.nu == 1.5:
+        return -1.5 * decay
+    return (-5.0 / 6.0) * (1.0 + r) * decay
+
+
 def _pairwise_sq_dist(M: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # psi_ij = ||L^T (a_i - b_j)||^2 with M = L L^T. cdist sums the squared
     # whitened coordinate differences in coordinate order: each difference is

@@ -16,10 +16,12 @@ unchanged.
 Each update group walks by one Gaussian step over the coordinates its moves
 walk. Burn-in learns that step's covariance (:class:`_Walk`), and the stored
 chain is plain Metropolis-Hastings with the kernel frozen at the end of
-burn-in.
+burn-in. A chain with data whose burn-in adapts first climbs from the
+prior-mean start to a posterior mode, by BFGS on the exact gradient, and
+starts there (:func:`_climb`), so its stored rows are not spent on the climb.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
-noise and acceptance uniforms in a fixed order.
+noise and acceptance uniforms in a fixed order, and the climb draws none.
 """
 
 import functools
@@ -28,10 +30,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gp import Dataset, GPModel, log_marginal_likelihood
+from .gp import (Dataset, GPModel, log_marginal_likelihood,
+                 log_marginal_likelihood_and_grad)
 from .kernels import GramFactorizationError
-from .metric import (SPECS, AnisotropySummary, MetricParams, Row,
-                     build_metric, eigen_summary)
+from .metric import (SPECS, AnisotropySummary, InvalidParamsError,
+                     MetricParams, Row, build_metric, eigen_summary)
 from .table import DataFormatError, read_table, write_table
 
 RNG_NAME = "pcg64"
@@ -48,6 +51,21 @@ ACCEPT_RATE_WINDOW = (0.05, 0.7)
 # re-estimates its covariance every ADAPT_EVERY iterations (see _Walk).
 TARGET_ACCEPT = 0.234
 ADAPT_EVERY = 25
+
+# The climb to a start (see _climb) searches on every ceil(n / CLIMB_POINTS)-th
+# training point. It starts BFGS from the best of the prior-mean start and the
+# isotropic metrics ell^-2 I over CLIMB_GRID, and stops after CLIMB_EVALS
+# evaluations, or once a step scaled by the curvature gains less than
+# CLIMB_TOL of log posterior.
+CLIMB_POINTS = 150
+CLIMB_GRID = np.geomspace(0.02, 5.0, 16)
+CLIMB_EVALS = 20
+CLIMB_TOL = 1e-2
+# In walk coordinates: BFGS's longest step, and its longest while it has no
+# curvature to scale the step by; and the central differences' step.
+_MAX_STEP = 1.0
+_FIRST_STEP = 0.25
+_FD_STEP = 1e-5
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -151,6 +169,7 @@ class Chain:
     accept_counts: dict[str, int]
     n_iters: int  # each iteration proposes every update group once
     fixed_noise_var: float | None
+    start: dict | None = None  # the climb's record (see _climb), if it ran
 
     @property
     def n_samples(self) -> int:
@@ -187,6 +206,7 @@ class PosteriorSummary:
     posterior_mean_noise_var: float | None
     acceptance_rates: dict[str, float]
     flags: list[str]
+    start: dict | None
 
     def to_dict(self) -> dict:
         return {**vars(self), "anisotropy": self.anisotropy.to_dict(),
@@ -244,18 +264,31 @@ def row_params(spec: type, row, fixed_noise_var) -> tuple[MetricParams, float]:
     return spec.from_vector(row), noise_var
 
 
+def _log_densities(x: np.ndarray, spec: type, priors: Priors) -> list | None:
+    """Each part's elementwise Gaussian log prior densities, on the
+    coordinate its move gives; None when a part is not finite, or not
+    positive where its move needs it."""
+    densities = []
+    for part, row in layout(spec, x.size > len(spec.names)):
+        v, (_, coord, _, positive) = x[part], _MOVES[row.move]
+        if not (np.all(np.isfinite(v)) and (not positive or np.all(v > 0.0))):
+            return None
+        sd = getattr(priors, row.sd)
+        z = (coord(v) - (getattr(priors, row.mean) if row.mean else 0.0)) / sd
+        densities.append(-0.5 * z * z - np.log(sd) - _HALF_LOG_2PI)
+    return densities
+
+
 def log_prior(x: np.ndarray, spec: type, priors: Priors) -> float:
     """Sum of each part's Gaussian log prior, on the coordinate its move
     gives. Returns -inf when a part is not finite, or not positive where its
     move needs it, which the sampler reads as an automatic rejection."""
+    densities = _log_densities(x, spec, priors)
+    if densities is None:
+        return _NEG_INF
     total = 0.0
-    for part, row in layout(spec, x.size > len(spec.names)):
-        v, (_, coord, _, positive) = x[part], _MOVES[row.move]
-        if not (np.all(np.isfinite(v)) and (not positive or np.all(v > 0.0))):
-            return _NEG_INF
-        sd = getattr(priors, row.sd)
-        z = (coord(v) - (getattr(priors, row.mean) if row.mean else 0.0)) / sd
-        total += float(np.sum(-0.5 * z * z - np.log(sd) - _HALF_LOG_2PI))
+    for d in densities:
+        total += float(np.sum(d))
     return total
 
 
@@ -282,7 +315,8 @@ def _score(x: np.ndarray, model: GPModel, priors: Priors,
         try:
             ll = 0.0 if data is None else log_marginal_likelihood(
                 GPModel(model.profile, params, noise_var), data)
-        except (GramFactorizationError, np.linalg.LinAlgError):
+        except (GramFactorizationError, np.linalg.LinAlgError,
+                InvalidParamsError):
             pass  # unfactorizable proposals are rejected, not fatal
     return SamplerState(x, ll, lp)
 
@@ -329,11 +363,36 @@ def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
     return state, False
 
 
+def _per_coordinate(parts: tuple, value) -> np.ndarray:
+    """``value(row)`` for each coordinate of ``parts``, in layout order."""
+    return np.concatenate([np.full(part.stop - part.start, value(row))
+                           for part, row in parts])
+
+
 def _steps(parts: tuple, scales: ProposalScales) -> np.ndarray:
     """Each moved coordinate's starting step, in layout order."""
-    return np.concatenate([np.full(part.stop - part.start,
-                                   float(getattr(scales, row.step)))
-                           for part, row in parts])
+    return _per_coordinate(parts, lambda row: float(getattr(scales, row.step)))
+
+
+def _walk_masks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per coordinate of ``parts``: whether its move walks log x, and
+    whether its move is ``jacobian``."""
+    return (_per_coordinate(parts, lambda row: _MOVES[row.move][3]),
+            _per_coordinate(parts, lambda row: row.move == "jacobian"))
+
+
+def _to_walk(x: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The walk coordinates of the states ``x``, one per row."""
+    u = x.copy()
+    u[..., positive] = np.log(x[..., positive])
+    return u
+
+
+def _from_walk(u: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The states at walk coordinates ``u``, one per row."""
+    x = u.copy()
+    x[..., positive] = np.exp(u[..., positive])
+    return x
 
 
 class _Walk:
@@ -360,9 +419,7 @@ class _Walk:
         self.steps = _steps(parts, scales)
         self.index = np.concatenate([np.arange(part.start, part.stop)
                                      for part, _ in parts])
-        self.log = np.concatenate([np.full(part.stop - part.start,
-                                           _MOVES[row.move][3])
-                                   for part, row in parts])
+        self.log = _walk_masks(parts)[0]
         self.burn_in = burn_in if burn_in >= ADAPT_EVERY else 0
         self.states = np.empty((self.burn_in, len(self.steps)))
         self.cov_factor = np.diag(self.steps)
@@ -378,9 +435,7 @@ class _Walk:
         at ``x`` after this group's update."""
         if i > self.burn_in:
             return
-        w = x[self.index]
-        w[self.log] = np.log(w[self.log])
-        self.states[i - 1] = w
+        self.states[i - 1] = _to_walk(x[self.index], self.log)
         self.log_scale += (accepted - TARGET_ACCEPT) * i ** -0.6
         if i % ADAPT_EVERY == 0 or i == self.burn_in:
             window = self.states[max(0, i - max(2 * ADAPT_EVERY, i // 4)):i]
@@ -407,6 +462,135 @@ def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   model, priors, data)
 
 
+def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset,
+                positive: np.ndarray, jacobian: np.ndarray):
+    """The climb's objective at walk coordinates ``u``, and its gradient: the
+    log posterior of the state there plus ``sum(u[jacobian])``, the log
+    Jacobian of the rows whose prior is on x but whose walk is on log x, so
+    that it is the posterior's log density in the coordinates the chain
+    walks. ``(-inf, None)`` where the state is outside the prior, its metric
+    or Gram fails, or a result is not finite.
+
+    The likelihood's gradient goes through the metric: each coordinate's
+    dM/du is a central difference of ``metric()``, and the noise's is
+    dL/dnoise_var * noise_var. The log prior is a sum of one density per
+    coordinate, so one central difference of all of them at once gives its
+    gradient. Neither costs a likelihood.
+    """
+    spec = type(model.params)
+    n = len(spec.names)
+    # each metric coordinate's step up and down, and every coordinate's at once
+    steps = _FD_STEP * np.vstack([np.eye(u.size)[:n], np.ones(u.size)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, ups, downs = (_from_walk(v, positive)
+                         for v in (u, u + steps, u - steps))
+        prior = log_prior(x, spec, priors)
+        if prior == _NEG_INF:
+            return _NEG_INF, None
+        try:
+            params, noise_var = row_params(spec, x, model.noise_var)
+            value, grad_M, grad_noise = log_marginal_likelihood_and_grad(
+                GPModel(model.profile, params, noise_var), data)
+            dM = np.array([spec.from_vector(up).metric()
+                           - spec.from_vector(down).metric()
+                           for up, down in zip(ups[:n], downs[:n])])
+        except (GramFactorizationError, np.linalg.LinAlgError,
+                InvalidParamsError):
+            return _NEG_INF, None
+        up, down = (_log_densities(v[n], spec, priors) for v in (ups, downs))
+        if up is None or down is None:
+            return _NEG_INF, None
+        grad = np.concatenate(up) - np.concatenate(down)
+        grad[:n] += np.einsum("kij,ij->k", dM, grad_M)
+        grad /= 2.0 * _FD_STEP
+        grad[n:] += grad_noise * noise_var
+    grad += jacobian
+    value += prior + float(np.sum(u[jacobian]))
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        return _NEG_INF, None
+    return value, grad
+
+
+def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
+    """Minimise ``fun(u) -> (value, grad)`` from ``u`` by BFGS with Armijo
+    backtracking (Nocedal & Wright 2006, ch. 6). A value of +inf, a failed
+    evaluation, backtracks. Stops after ``max_evals`` evaluations, or once a
+    step scaled by the curvature gains less than ``CLIMB_TOL``. Returns the
+    last point accepted and the number of evaluations."""
+    value, grad = fun(u)
+    eye, H, evals = np.eye(u.size), None, 1
+    while value < math.inf and evals < max_evals:
+        p = -(eye if H is None else H) @ grad
+        if not grad @ p < 0.0:  # not a descent direction: restart
+            H, p = None, -grad
+        scaled = H is not None
+        p *= min(1.0, (_MAX_STEP if scaled else _FIRST_STEP)
+                 / float(np.linalg.norm(p)))
+        t = 1.0
+        while True:
+            new_value, new_grad = fun(u + t * p)
+            evals += 1
+            if new_value <= value + 1e-4 * t * float(grad @ p):
+                break
+            if evals == max_evals:
+                return u, evals
+            t *= 0.5
+        s, y = t * p, new_grad - grad
+        gain = value - new_value
+        u, value, grad = u + s, new_value, new_grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if H is None:  # the first step sizes H (N&W eq. 6.20)
+                H = sy / float(y @ y) * eye
+            V = eye - np.outer(s, y) / sy
+            H = V @ H @ V.T + np.outer(s, s) / sy
+        # the small gain of a step not yet scaled by the curvature shows no
+        # convergence: it may have crossed a valley
+        if scaled and gain < CLIMB_TOL:
+            break
+    return u, evals
+
+
+def _climb(start: SamplerState, model: GPModel, priors: Priors,
+           data: Dataset) -> tuple[SamplerState, dict]:
+    """The state a chain starts at: the prior-mean ``start``, or a
+    posterior mode if that scores higher on ``data``; and the record
+    ``summary.json`` keeps as ``start``.
+
+    The search runs on every ``ceil(n / CLIMB_POINTS)``-th point of
+    ``data``, on :func:`_log_target` in the coordinates the chain walks. Of
+    ``start`` and the isotropic metrics ``ell^-2 I`` over ``CLIMB_GRID``
+    (with ``start``'s noise), BFGS starts from the one that scores highest
+    there. It draws no random numbers.
+    """
+    spec = type(model.params)
+    positive, jacobian = _walk_masks(layout(spec,
+                                            start.x.size > len(spec.names)))
+    step = -(-data.n // CLIMB_POINTS)
+    subset = Dataset(data.X[::step], data.y[::step])
+
+    def minus(u):
+        value, grad = _log_target(u, model, priors, subset, positive, jacobian)
+        return (math.inf, None) if grad is None else (-value, -grad)
+
+    def score(x):  # the objective's value alone
+        value = (_score(x, model, priors, subset).log_post
+                 + float(np.sum(np.log(x[jacobian]))))
+        return value if value == value else _NEG_INF  # nan fails too
+
+    noise = start.x[len(spec.names):]
+    candidates = [start.x] + [
+        np.concatenate([spec.isotropic(ell).to_vector(), noise])
+        for ell in CLIMB_GRID]
+    scores = [score(x) for x in candidates]
+    best = candidates[scores.index(max(scores))]
+    u, evals = _bfgs(minus, _to_walk(best, positive), CLIMB_EVALS)
+    end = _score(_from_walk(u, positive), model, priors, data)
+    chosen = end if end.log_post > start.log_post else start
+    return chosen, {"prior_mean_log_post": start.log_post,
+                    "log_post": chosen.log_post, "bfgs_evaluations": evals}
+
+
 def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
               priors: Priors, scales: ProposalScales) -> Chain:
     """Run a single RWMH chain; deterministic given the config seed.
@@ -416,7 +600,8 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     (noise_var is ignored when ``config.sample_noise``). ``data=None``
     samples the prior (constant likelihood). ``scales`` are the starting
     steps; burn-in adapts each update group's walk (:class:`_Walk`), so
-    adaptation costs no likelihood.
+    adaptation costs no likelihood. A chain with data whose burn-in adapts
+    starts where :func:`_climb` puts it; others start at the prior mean.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spec = type(model.params)
@@ -425,6 +610,9 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
         raise ChainInitError(
             f"initial state has invalid posterior (log_lik={state.log_lik}, "
             f"log_prior={state.log_prior})")
+    start = None
+    if data is not None and config.burn_in >= ADAPT_EVERY:
+        state, start = _climb(state, model, priors, data)
 
     # Each iteration proposes every update group once, in order: all blocks
     # jointly, or one block at a time.
@@ -460,7 +648,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     assert kept == n_keep
     return Chain(kind=spec.kind, param_names=names, iters=iters, states=states,
                  log_posts=log_posts, accept_counts=accept_counts,
-                 n_iters=config.n_iters,
+                 n_iters=config.n_iters, start=start,
                  fixed_noise_var=None if config.sample_noise else model.noise_var)
 
 
@@ -505,6 +693,7 @@ def summarize(chain: Chain) -> PosteriorSummary:
         posterior_mean_noise_var=noise_mean,
         acceptance_rates=chain.acceptance_rates(),
         flags=chain.rate_flags(),
+        start=chain.start,
     )
 
 

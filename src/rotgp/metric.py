@@ -45,7 +45,19 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _positive_finite(v: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
+    return bool(((v > 0.0) & (v < math.inf)).all())  # nan fails both
+
+
+def _inverse_squares(lengthscales: np.ndarray, name: str) -> np.ndarray:
+    """``lengthscales ** -2``; length-scales that are not finite and
+    positive, or so short that it overflows (below about 1e-154), raise."""
+    _require(_positive_finite(lengthscales),
+             f"{name} must be finite and positive")
+    with np.errstate(over="ignore"):
+        inv_sq = lengthscales ** -2.0
+    _require(bool((inv_sq < math.inf).all()),
+             f"{name} too short: their inverse squares overflow")
+    return inv_sq
 
 
 class Row(NamedTuple):
@@ -105,10 +117,14 @@ class Ard(_Spec):
     names = ("l_x", "l_y", "l_z")
     table = {"lengthscales": _LENGTHSCALES}
 
+    @classmethod
+    def isotropic(cls, ell: float) -> "Ard":
+        """The metric ``ell^-2 I``."""
+        return cls(np.full(3, ell))
+
     def metric(self) -> np.ndarray:
-        _require(_positive_finite(self.lengthscales),
-                 "ARD length-scales must be finite and positive")
-        return np.diag(self.lengthscales ** -2.0)
+        return np.diag(_inverse_squares(self.lengthscales,
+                                        "ARD length-scales"))
 
     def rotation_deg(self) -> float:
         return 0.0
@@ -127,13 +143,17 @@ class Rotational(_Spec):
              "axis_angle": Row("axis_angle", "axis_angle", "add",
                                "axis_angle_sd")}
 
+    @classmethod
+    def isotropic(cls, ell: float) -> "Rotational":
+        """The metric ``ell^-2 I``."""
+        return cls(np.full(3, ell), np.zeros(3))
+
     def metric(self) -> np.ndarray:
-        _require(_positive_finite(self.lengthscales),
-                 "length-scales must be finite and positive")
+        inv_sq = _inverse_squares(self.lengthscales, "length-scales")
         _require(bool(np.all(np.isfinite(self.axis_angle))),
                  "axis-angle vector must be finite")
         R = exp_so3(self.axis_angle)
-        M = R.T @ np.diag(self.lengthscales ** -2.0) @ R
+        M = R.T @ np.diag(inv_sq) @ R
         return 0.5 * (M + M.T)
 
     def rotation_deg(self) -> float:
@@ -155,6 +175,11 @@ class CholeskySpd(_Spec):
     names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
     table = {"diag": Row("cholesky", "spd", "scale", "spd_logdiag_sd"),
              "offdiag": Row("cholesky", "spd", "add", "spd_offdiag_sd")}
+
+    @classmethod
+    def isotropic(cls, ell: float) -> "CholeskySpd":
+        """The metric ``ell^-2 I``."""
+        return cls(np.full(3, 1.0 / ell), np.zeros(3))
 
     def metric(self) -> np.ndarray:
         _require(_positive_finite(self.diag),

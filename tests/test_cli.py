@@ -139,6 +139,38 @@ class TestFit:
         assert resolved["proposal_scales"]["log_lengthscale"] == 0.05
         assert resolved["chain"]["rng"] == "pcg64"
 
+    def test_summary_records_the_climb_to_the_start(self, fit_dir):
+        start = json.loads((fit_dir / "summary.json").read_text())["start"]
+        assert set(start) == {"prior_mean_log_post", "log_post",
+                              "bfgs_evaluations"}
+        assert start["log_post"] >= start["prior_mean_log_post"]
+        assert start["bfgs_evaluations"] >= 1
+
+    def test_short_burn_in_records_no_start(self, dataset_dir, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["fit", "--out", str(out), "--config", write_json(
+            tmp_path / "f.json", {
+                "train_csv": str(dataset_dir / "train.csv"), "model": "spd",
+                "chain": {"n_iters": 40, "burn_in": 24, "thin": 1}})]) == 0
+        assert json.loads((out / "summary.json").read_text())["start"] is None
+
+    def test_climb_imports_no_scipy_optimize(self, dataset_dir, tmp_path):
+        # every process pays for what it imports: the climb's BFGS is
+        # rotgp's own
+        out = tmp_path / "fit"
+        cfg = write_json(tmp_path / "f.json", {
+            "train_csv": str(dataset_dir / "train.csv"), "model": "spd",
+            "chain": {"n_iters": 60, "burn_in": 30, "thin": 1},
+            "out_dir": str(out)})
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rotgp.cli import main; "
+             f"assert main(['fit', '--config', {cfg!r}]) == 0; "
+             "print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True).stdout.split()
+        assert json.loads((out / "summary.json").read_text())["start"]
+        assert "scipy.optimize" not in loaded
+
     def test_chain_header(self, fit_dir):
         header = (fit_dir / "chain.csv").read_text().splitlines()[0]
         assert header == "iter,log_post,l_x,l_y,l_z,a_1,a_2,a_3"

@@ -6,10 +6,10 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from rotgp.gp import (PREDICT_BLOCK, Dataset, GPModel, log_marginal_likelihood,
-                      predict)
+                      log_marginal_likelihood_and_grad, predict)
 from rotgp.kernels import (Matern, SquaredExponential, cross_gram, gram,
-                           radial_profile)
-from rotgp.metric import Ard, Rotational, build_metric
+                           profile_slope, radial_profile)
+from rotgp.metric import Ard, CholeskySpd, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
 
@@ -123,6 +123,50 @@ class TestLogMarginalLikelihood:
         shifted = Dataset(data.X + np.array([3.0, -2.0, 0.5]), data.y)
         assert log_marginal_likelihood(model, shifted) == pytest.approx(
             log_marginal_likelihood(model, data), rel=1e-10)
+
+
+class TestGradient:
+    PROFILES = [SquaredExponential(), Matern(0.5), Matern(1.5), Matern(2.5)]
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=str)
+    def test_matches_dense_oracle(self, profile):
+        # 1/2 sum_ij W_ij k'(psi_ij) d_ij d_ij^T with W = alpha alpha^T - K^-1
+        # from an explicit inverse, pair by pair
+        rng = np.random.default_rng(12)
+        model = GPModel(profile, CholeskySpd(rng.uniform(0.8, 2.0, 3),
+                                             rng.normal(0.0, 0.5, 3)), 0.01)
+        data = random_dataset(rng, 25)
+        value, grad_M, grad_noise = log_marginal_likelihood_and_grad(model,
+                                                                     data)
+        assert value == log_marginal_likelihood(model, data)
+        M = build_metric(model.params)
+        K = cross_gram(profile, M, data.X, data.X) + 0.01 * np.eye(data.n)
+        K_inv = np.linalg.inv(K)
+        alpha = K_inv @ data.y
+        W = np.outer(alpha, alpha) - K_inv
+        want = np.zeros((3, 3))
+        for i in range(data.n):
+            for j in range(data.n):
+                d = data.X[i] - data.X[j]
+                if i != j:
+                    want += 0.5 * W[i, j] * profile_slope(
+                        profile, d @ M @ d) * np.outer(d, d)
+        np.testing.assert_allclose(grad_M, want, rtol=1e-8,
+                                   atol=1e-10 * np.abs(want).max())
+        assert grad_noise == pytest.approx(0.5 * np.trace(W), rel=1e-8)
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=str)
+    def test_noise_derivative_matches_differences(self, profile):
+        rng = np.random.default_rng(13)
+        data = random_dataset(rng, 30)
+        params = Rotational(rng.uniform(0.3, 1.0, 3), rng.normal(0, 1, 3))
+        _, _, grad_noise = log_marginal_likelihood_and_grad(
+            GPModel(profile, params, 0.02), data)
+        h = 1e-6
+        fd = (log_marginal_likelihood(GPModel(profile, params, 0.02 + h), data)
+              - log_marginal_likelihood(GPModel(profile, params, 0.02 - h),
+                                        data)) / (2 * h)
+        assert grad_noise == pytest.approx(fd, rel=1e-6)
 
 
 class TestPredict:

@@ -10,7 +10,7 @@ from rotgp.data import sample_gp_outputs
 from rotgp.gp import GPModel
 from rotgp.kernels import (JITTER_CAP, GramFactorizationError, Matern,
                            SquaredExponential, _pairwise_sq_dist, cross_gram,
-                           gram, radial_profile)
+                           gram, profile_slope, radial_profile)
 from rotgp.metric import Ard, CholeskySpd, Rotational, build_metric
 from rotgp.so3 import exp_so3
 
@@ -102,6 +102,21 @@ class TestRadialProfile:
         assert np.array_equal(got, np.maximum(np.exp(-0.5 * psi),
                                               np.exp(-353.0)))
         assert np.all(got * got >= np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("profile", [
+        SquaredExponential(), Matern(0.5), Matern(1.5), Matern(2.5)], ids=str)
+    def test_slope_matches_central_differences(self, profile):
+        psi = np.logspace(-4, 1.5, 30)
+        h = 1e-6 * psi
+        fd = (radial_profile(profile, psi + h)
+              - radial_profile(profile, psi - h)) / (2 * h)
+        np.testing.assert_allclose(profile_slope(profile, psi), fd, rtol=1e-6)
+
+    def test_matern_half_slope_is_zero_at_zero(self):
+        # infinite in the limit; 0 there, with no division warning
+        slope = profile_slope(Matern(0.5), np.array([0.0, 1.0]))
+        assert slope[0] == 0.0
+        assert slope[1] == pytest.approx(-0.5 * np.exp(-1.0), rel=1e-15)
 
     def test_matern_rejects_general_nu(self):
         with pytest.raises(ValueError):

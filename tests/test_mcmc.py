@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from rotgp import mcmc
+from rotgp import gp, mcmc
 from rotgp.data import SyntheticConfig, generate_synthetic
 from rotgp.gp import Dataset, GPModel
-from rotgp.kernels import SquaredExponential
+from rotgp.kernels import GramFactorizationError, Matern, SquaredExponential
 from rotgp.mcmc import (ACCEPT_RATE_WINDOW, CHAIN_MINIMA, Chain,
                         ChainConfig, ChainInitError, Priors, ProposalScales,
                         _score, effective_sample_size, initial_state,
@@ -136,6 +136,14 @@ class TestLogPrior:
         x[-1] = 0.01
         with pytest.raises(AssertionError, match="outside the prior"):
             _score(x, model, _PRIORS, data)
+
+    @pytest.mark.parametrize("kind", ["ard", "rotational"])
+    def test_overflowing_lengthscale_gets_no_likelihood(self, kind):
+        # 1e-160 ** -2 overflows: the metric is invalid, not inf
+        x = prior_mean(SPECS[kind], Priors())
+        x[0] = 1e-160
+        state = _score(x, template(kind), Priors(), tiny_data())
+        assert state.log_prior > -np.inf and state.log_lik == -np.inf
 
 
 class TestStart:
@@ -531,16 +539,27 @@ class TestAdaptation:
                              ids=["joint", "blocks"])
     def test_adaptation_costs_no_likelihood(self, monkeypatch, block_updates,
                                             groups):
-        # one likelihood at the start and one per group per iteration
-        calls = []
+        # one likelihood at the start and one per group per iteration; the
+        # climb to the start before the first step is counted apart
+        calls, climbed = [], []
         lml = mcmc.log_marginal_likelihood
         monkeypatch.setattr(mcmc, "log_marginal_likelihood",
                             lambda *args: calls.append(1) or lml(*args))
+        climb = mcmc._climb
+
+        def counted_climb(*args):
+            before = len(calls)
+            result = climb(*args)
+            climbed.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(mcmc, "_climb", counted_climb)
         cfg = ChainConfig(n_iters=200, burn_in=100, seed=6, thin=1,
                           block_updates=block_updates, sample_noise=True)
         run_chain(cfg, tiny_data(), template("rotational"), Priors(),
                   ProposalScales())
-        assert len(calls) == 200 * groups + 1
+        assert len(climbed) == 1 and climbed[0] > 0
+        assert len(calls) - climbed[0] == 200 * groups + 1
 
     def test_ard_lengthscales_accept_inside_the_window(self, d1_desk_train):
         # With the noise sampled and block updates, the default steps
@@ -557,6 +576,141 @@ class TestAdaptation:
         rate = np.mean(np.any(ls[1:] != ls[:-1], axis=1))
         lo, hi = ACCEPT_RATE_WINDOW
         assert lo < rate < hi
+
+
+_PROFILES = {"se": SquaredExponential(), "matern12": Matern(0.5),
+             "matern32": Matern(1.5), "matern52": Matern(2.5)}
+
+
+def climb_state(kind, sample_noise, rng):
+    """A state away from the prior mean: a rotation of angle pi - 1e-6 for
+    the rotational spec, and a noise variance of 0.01 when it is sampled."""
+    x = rng.uniform(0.4, 1.2, len(SPECS[kind].names))
+    if kind == "rotational":
+        axis = rng.standard_normal(3)
+        x[3:] = (math.pi - 1e-6) * axis / np.linalg.norm(axis)
+    elif kind == "spd":
+        x[3:] = rng.normal(0.0, 0.5, 3)
+    return np.append(x, [0.01] * sample_noise)
+
+
+def climb_target(kind, sample_noise, profile, data):
+    """The climb's objective for ``kind`` as a function of walk
+    coordinates, and the map from a state to its walk coordinates."""
+    spec = SPECS[kind]
+    positive, jacobian = mcmc._walk_masks(mcmc.layout(spec, sample_noise))
+    model = GPModel(profile, template(kind).params, 0.0025)
+    return (lambda u: mcmc._log_target(u, model, _PRIORS, data, positive,
+                                       jacobian),
+            lambda x: mcmc._to_walk(x, positive))
+
+
+def central_differences(target, u, h=1e-5):
+    """The gradient of ``target``'s value at ``u`` by central differences."""
+    return np.array([(target(u + h * e)[0] - target(u - h * e)[0]) / (2 * h)
+                     for e in np.eye(u.size)])
+
+
+class TestClimb:
+    @each_spec_and_noise
+    @pytest.mark.parametrize("profile", list(_PROFILES))
+    def test_gradient_matches_central_differences(self, kind, sample_noise,
+                                                  profile):
+        rng = np.random.default_rng(23)
+        data = tiny_data(rng, n=20)
+        x = climb_state(kind, sample_noise, rng)
+        target, to_walk = climb_target(kind, sample_noise, _PROFILES[profile],
+                                       data)
+        u = to_walk(x)
+        value, grad = target(u)
+        # the log posterior, plus log x of the rows that walk on log x with
+        # their prior on x
+        model = GPModel(_PROFILES[profile], template(kind).params, 0.0025)
+        log_jacobian = float(np.sum(np.log(x[:3]))) if kind != "spd" else 0.0
+        assert value == pytest.approx(
+            _score(x, model, _PRIORS, data).log_post + log_jacobian, rel=1e-12)
+        fd = central_differences(target, u)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                   atol=1e-6 * np.linalg.norm(fd))
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_duplicate_inputs_under_matern_half(self, kind):
+        # Matern 1/2's slope is infinite at psi = 0; coincident points must
+        # still give a finite gradient, the one the differences give
+        rng = np.random.default_rng(4)
+        base = tiny_data(rng, n=10)
+        data = Dataset(np.vstack([base.X, base.X[:3]]),
+                       np.append(base.y, rng.standard_normal(3)))
+        target, to_walk = climb_target(kind, True, Matern(0.5), data)
+        u = to_walk(climb_state(kind, True, rng))
+        _, grad = target(u)
+        assert np.all(np.isfinite(grad))
+        fd = central_differences(target, u)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                   atol=1e-6 * np.linalg.norm(fd))
+
+    @each_spec_and_noise
+    def test_start_never_scores_below_the_prior_mean(self, kind,
+                                                     sample_noise):
+        data = tiny_data(np.random.default_rng(8), n=30)
+        model = template(kind)
+        start = initial_state(model, Priors(), data, sample_noise)
+        state, record = mcmc._climb(start, model, Priors(), data)
+        assert state.log_post >= start.log_post
+        assert state.log_post == _score(state.x, model, Priors(),
+                                        data).log_post
+        assert record["prior_mean_log_post"] == start.log_post
+        assert record["log_post"] == state.log_post
+        assert 1 <= record["bfgs_evaluations"] <= mcmc.CLIMB_EVALS
+
+    def test_climb_leaves_the_spd_start_on_d1(self, d1_desk_train):
+        # L = I is tens of thousands of nats below the mode on d1 at n=300
+        model = template("spd")
+        start = initial_state(model, Priors(), d1_desk_train)
+        state, _ = mcmc._climb(start, model, Priors(), d1_desk_train)
+        assert start.log_post < -10_000
+        assert state.log_post > -1_000
+
+    def test_every_trial_failing_keeps_the_prior_mean_start(self,
+                                                            monkeypatch):
+        data, model = tiny_data(), template("rotational")
+        start = initial_state(model, Priors(), data)
+
+        def gram(*args):
+            raise GramFactorizationError("every trial fails")
+
+        monkeypatch.setattr(gp, "gram", gram)
+        state, record = mcmc._climb(start, model, Priors(), data)
+        assert state is start
+        assert record["log_post"] == record["prior_mean_log_post"]
+
+    @pytest.mark.parametrize("data, burn_in", [(None, 100), (tiny_data(), 1),
+                                               (tiny_data(), 24)],
+                             ids=["prior-only", "burn-in-1", "burn-in-24"])
+    def test_prior_only_and_short_burn_in_start_at_the_prior_mean(
+            self, monkeypatch, data, burn_in):
+        def climb(*args):
+            raise AssertionError("climbed")
+
+        monkeypatch.setattr(mcmc, "_climb", climb)
+        cfg = ChainConfig(n_iters=burn_in + 20, burn_in=burn_in, seed=3,
+                          thin=1)
+        chain = run_chain(cfg, data, template("spd"), Priors(),
+                          ProposalScales())
+        assert chain.start is None and summarize(chain).start is None
+
+    def test_same_seed_climbs_to_the_same_start(self, tmp_path):
+        cfg = ChainConfig(n_iters=60, burn_in=30, seed=2, thin=1,
+                          sample_noise=True)
+        chains = [run_chain(cfg, tiny_data(), template("spd"), Priors(),
+                            ProposalScales()) for _ in range(2)]
+        for i, chain in enumerate(chains):
+            chain.to_csv(tmp_path / f"chain{i}.csv")
+        assert chains[0].start == chains[1].start
+        assert chains[0].start["log_post"] > chains[0].start[
+            "prior_mean_log_post"]
+        assert ((tmp_path / "chain0.csv").read_bytes()
+                == (tmp_path / "chain1.csv").read_bytes())
 
 
 class TestSummarize:

@@ -81,6 +81,20 @@ class TestBuildMetric:
         with pytest.raises(InvalidParamsError):
             build_metric(bad)
 
+    @pytest.mark.parametrize("params", [
+        Ard((1e-160, 1.0, 1.0)),
+        Rotational((1.0, 1e-160, 1.0), (0.1, 0.2, 0.3))], ids=["ard", "rotational"])
+    def test_overflowing_inverse_square_is_invalid(self, params):
+        # a positive length-scale whose inverse square overflows raises,
+        # with no overflow warning (warnings are errors in these tests)
+        with pytest.raises(InvalidParamsError, match="too short"):
+            build_metric(params)
+
+    @pytest.mark.parametrize("spec", list(SPECS.values()), ids=list(SPECS))
+    def test_isotropic_metric(self, spec):
+        np.testing.assert_allclose(build_metric(spec.isotropic(0.25)),
+                                   16.0 * np.eye(3), rtol=1e-15)
+
 
 class TestEigenSummary:
     def test_true_metric_ranges(self):
