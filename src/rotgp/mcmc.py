@@ -13,12 +13,13 @@ lives on the raw coordinate, so their log-scale walk carries the
 log-proposal Jacobian in the acceptance ratio and the target density is
 unchanged.
 
-Each update group walks by one Gaussian step over the coordinates its moves
-walk. Burn-in learns that step's covariance (:class:`_Walk`), and the stored
-chain is plain Metropolis-Hastings with the kernel frozen at the end of
-burn-in. A chain with data whose burn-in adapts first climbs from the
-prior-mean start to a posterior mode, by BFGS on the exact gradient, and
-starts there (:func:`_climb`), so its stored rows are not spent on the climb.
+Each iteration moves the whole state by one Gaussian step over the
+coordinates the moves walk. Burn-in learns that step's covariance
+(:class:`_Walk`), and the stored chain is plain Metropolis-Hastings with the
+kernel frozen at the end of burn-in. A chain with data whose burn-in adapts
+first climbs from the prior-mean start to a posterior mode, by BFGS on the
+exact gradient, and starts there (:func:`_climb`), so its stored rows are
+not spent on the climb.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order, and the climb draws none.
@@ -47,8 +48,8 @@ CHAIN_MINIMA = {"n_iters": 1, "burn_in": 0, "seed": 0, "thin": 1}
 # not fail it.
 ACCEPT_RATE_WINDOW = (0.05, 0.7)
 
-# Burn-in adapts each group's walk towards this acceptance rate, and
-# re-estimates its covariance every ADAPT_EVERY iterations (see _Walk).
+# Burn-in adapts the walk towards this acceptance rate, and re-estimates its
+# covariance every ADAPT_EVERY iterations (see _Walk).
 TARGET_ACCEPT = 0.234
 ADAPT_EVERY = 25
 
@@ -109,9 +110,9 @@ class Priors:
 
 @dataclass
 class ProposalScales:
-    """Starting random-walk standard deviations per parameter block: the
-    diagonal that burn-in adapts from, and falls back to (see :class:`_Walk`).
-    """
+    """Starting random-walk standard deviations, one per ``Row.step``: the
+    diagonal that burn-in adapts from, and falls back to (see
+    :class:`_Walk`)."""
 
     log_lengthscale: float = 0.05
     axis_angle: float = 0.03
@@ -124,13 +125,13 @@ class ProposalScales:
 
 @dataclass
 class ChainConfig:
-    """Chain length, burn-in, thinning, seed, and update style."""
+    """Chain length, burn-in, thinning, seed, and whether the noise is
+    sampled."""
 
     n_iters: int = 20_000
     burn_in: int = 10_000
     seed: int = 0
     thin: int = 5
-    block_updates: bool = False
     sample_noise: bool = False
 
     def __post_init__(self):
@@ -166,8 +167,8 @@ class Chain:
     iters: np.ndarray
     states: np.ndarray
     log_posts: np.ndarray
-    accept_counts: dict[str, int]
-    n_iters: int  # each iteration proposes every update group once
+    accepted: int
+    n_iters: int  # each iteration proposes one joint move
     fixed_noise_var: float | None
     start: dict | None = None  # the climb's record (see _climb), if it ran
 
@@ -176,7 +177,7 @@ class Chain:
         return int(self.states.shape[0])
 
     def acceptance_rates(self) -> dict[str, float]:
-        return {b: n / self.n_iters for b, n in self.accept_counts.items()}
+        return {"joint": self.accepted / self.n_iters}
 
     def rate_flags(self) -> list[str]:
         lo, hi = ACCEPT_RATE_WINDOW
@@ -230,7 +231,7 @@ _MOVES = {"add": (lambda x, eps: x + eps, np.asarray, np.asarray, False),
                   lambda v: np.array([math.log(t) for t in v]),
                   lambda v: np.array([math.exp(t) for t in v]), True)}
 
-_NOISE = Row("noise", "log_noise", "log", "log_noise_sd", "log_noise_mean")
+_NOISE = Row("log_noise", "log", "log_noise_sd", "log_noise_mean")
 
 
 @functools.cache
@@ -321,27 +322,17 @@ def _score(x: np.ndarray, model: GPModel, priors: Priors,
     return SamplerState(x, ll, lp)
 
 
-@functools.cache
-def _group(spec: type, sample_noise: bool, blocks: tuple | None) -> tuple:
-    """The :func:`layout` parts that an update of ``blocks`` moves; None
-    moves them all."""
-    return tuple((part, row) for part, row in layout(spec, sample_noise)
-                 if blocks is None or row.block in blocks)
-
-
 def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
             priors: Priors, scales: ProposalScales, rng: np.random.Generator,
-            blocks: list[str] | None = None,
             walk: np.ndarray | None = None) -> tuple[SamplerState, bool]:
-    """One Metropolis-Hastings update of ``blocks``, by default all of them
-    jointly; the noise is sampled when ``state.x`` holds it. The moved
-    fields' steps, in layout order, are ``walk @ rng.normal(0, 1, d)``:
-    ``walk`` is a factor of the step's covariance, by default the diagonal
-    of ``scales``. Proposals whose prior is -inf or whose Gram matrix cannot
-    be factorized are rejected without further work."""
+    """One Metropolis-Hastings update of the whole state; the noise is
+    sampled when ``state.x`` holds it. The steps, in layout order, are
+    ``walk @ rng.normal(0, 1, d)``: ``walk`` is a factor of the step's
+    covariance, by default the diagonal of ``scales``. Proposals whose prior
+    is -inf or whose Gram matrix cannot be factorized are rejected without
+    further work."""
     spec = type(model.params)
-    parts = _group(spec, state.x.size > len(spec.names),
-                   None if blocks is None else tuple(blocks))
+    parts = layout(spec, state.x.size > len(spec.names))
     if walk is None:
         walk = np.diag(_steps(parts, scales))
     x, jac = state.x.copy(), 0.0
@@ -370,7 +361,7 @@ def _per_coordinate(parts: tuple, value) -> np.ndarray:
 
 
 def _steps(parts: tuple, scales: ProposalScales) -> np.ndarray:
-    """Each moved coordinate's starting step, in layout order."""
+    """Each coordinate's starting step, in layout order."""
     return _per_coordinate(parts, lambda row: float(getattr(scales, row.step)))
 
 
@@ -396,10 +387,10 @@ def _from_walk(u: np.ndarray, positive: np.ndarray) -> np.ndarray:
 
 
 class _Walk:
-    """One update group's step covariance, learnt during burn-in (Haario,
-    Saksman & Tamminen 2001) and then frozen (Andrieu & Thoms 2008). Its
-    coordinates are the ones the group's moves walk: log x where x must be
-    positive, x itself otherwise.
+    """The chain's step covariance, learnt during burn-in (Haario, Saksman &
+    Tamminen 2001) and then frozen (Andrieu & Thoms 2008). Its coordinates
+    are the ones the moves walk: log x where x must be positive, x itself
+    otherwise.
 
     :meth:`learn` runs after each burn-in iteration. A Robbins-Monro factor
     ``exp(log_scale)`` moves the acceptance towards ``TARGET_ACCEPT`` at
@@ -417,8 +408,6 @@ class _Walk:
 
     def __init__(self, parts: tuple, scales: ProposalScales, burn_in: int):
         self.steps = _steps(parts, scales)
-        self.index = np.concatenate([np.arange(part.start, part.stop)
-                                     for part, _ in parts])
         self.log = _walk_masks(parts)[0]
         self.burn_in = burn_in if burn_in >= ADAPT_EVERY else 0
         self.states = np.empty((self.burn_in, len(self.steps)))
@@ -432,10 +421,10 @@ class _Walk:
 
     def learn(self, i: int, accepted: bool, x: np.ndarray) -> None:
         """Adapt to burn-in iteration ``i`` (from 1), which left the chain
-        at ``x`` after this group's update."""
+        at ``x``."""
         if i > self.burn_in:
             return
-        self.states[i - 1] = _to_walk(x[self.index], self.log)
+        self.states[i - 1] = _to_walk(x, self.log)
         self.log_scale += (accepted - TARGET_ACCEPT) * i ** -0.6
         if i % ADAPT_EVERY == 0 or i == self.burn_in:
             window = self.states[max(0, i - max(2 * ADAPT_EVERY, i // 4)):i]
@@ -599,9 +588,9 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     parameterisation, its ``profile`` and ``noise_var`` are used as given
     (noise_var is ignored when ``config.sample_noise``). ``data=None``
     samples the prior (constant likelihood). ``scales`` are the starting
-    steps; burn-in adapts each update group's walk (:class:`_Walk`), so
-    adaptation costs no likelihood. A chain with data whose burn-in adapts
-    starts where :func:`_climb` puts it; others start at the prior mean.
+    steps; burn-in adapts the walk (:class:`_Walk`), so adaptation costs no
+    likelihood. A chain with data whose burn-in adapts starts where
+    :func:`_climb` puts it; others start at the prior mean.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spec = type(model.params)
@@ -614,17 +603,8 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
     if data is not None and config.burn_in >= ADAPT_EVERY:
         state, start = _climb(state, model, priors, data)
 
-    # Each iteration proposes every update group once, in order: all blocks
-    # jointly, or one block at a time.
-    blocks = list(dict.fromkeys(
-        row.block for _, row in layout(spec, config.sample_noise)))
-    groups = ({b: [b] for b in blocks} if config.block_updates
-              else {"joint": blocks})
-    walks = {name: _Walk(_group(spec, config.sample_noise, tuple(group)),
-                         scales, config.burn_in)
-             for name, group in groups.items()}
-    accept_counts = dict.fromkeys(groups, 0)
-
+    walk = _Walk(layout(spec, config.sample_noise), scales, config.burn_in)
+    accepted = 0
     names = columns(spec, config.sample_noise)
     n_keep = (config.n_iters - config.burn_in) // config.thin
     iters = np.empty(n_keep, dtype=np.int64)
@@ -633,12 +613,10 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     kept = 0
     for i in range(1, config.n_iters + 1):
-        for name, group in groups.items():
-            walk = walks[name]
-            state, accepted = mh_step(state, data, model, priors, scales,
-                                     rng, group, walk.factor)
-            walk.learn(i, accepted, state.x)
-            accept_counts[name] += accepted
+        state, moved = mh_step(state, data, model, priors, scales, rng,
+                               walk.factor)
+        walk.learn(i, moved, state.x)
+        accepted += moved
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             iters[kept] = i
             states[kept] = state.x
@@ -647,7 +625,7 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     assert kept == n_keep
     return Chain(kind=spec.kind, param_names=names, iters=iters, states=states,
-                 log_posts=log_posts, accept_counts=accept_counts,
+                 log_posts=log_posts, accepted=accepted,
                  n_iters=config.n_iters, start=start,
                  fixed_noise_var=None if config.sample_noise else model.noise_var)
 

@@ -11,10 +11,10 @@ inside a stationary kernel:
 
 Each class is the one spec of its parameterisation: parameter names and
 flat-vector layout, a ``table`` that declares one :class:`Row` per field (its
-MH update block, random-walk step and move, and Gaussian prior), metric
-builder and dict I/O. :mod:`rotgp.mcmc` walks, scores and starts the fields
-by those rows. ``SPECS`` maps a model name to its class, so the sampler,
-summaries, config and CLI never branch on it.
+random-walk step and move, and its Gaussian prior), metric builder and dict
+I/O. :mod:`rotgp.mcmc` walks, scores and starts the fields by those rows.
+``SPECS`` maps a model name to its class, so the sampler, summaries, config
+and CLI never branch on it.
 
 :func:`eigen_summary` reduces any such metric back to invariant quantities
 (sorted principal ranges, sign-fixed directions, rotation angle from axis
@@ -61,20 +61,18 @@ def _inverse_squares(lengthscales: np.ndarray, name: str) -> np.ndarray:
 
 
 class Row(NamedTuple):
-    """A field's MH update ``block``, walk ``step`` (a ``ProposalScales``
-    field) and ``move`` (a key of ``mcmc._MOVES``), and its Gaussian prior's
-    ``sd`` and ``mean`` (``Priors`` fields; no mean is zero) on the
-    coordinate the move gives."""
+    """A field's walk ``step`` (a ``ProposalScales`` field) and ``move``
+    (a key of ``mcmc._MOVES``), and its Gaussian prior's ``sd`` and ``mean``
+    (``Priors`` fields; no mean is zero) on the coordinate the move gives."""
 
-    block: str
     step: str
     move: str
     sd: str
     mean: str | None = None
 
 
-_LENGTHSCALES = Row("lengthscales", "log_lengthscale", "jacobian",
-                    "lengthscale_sd", "lengthscale_mean")
+_LENGTHSCALES = Row("log_lengthscale", "jacobian", "lengthscale_sd",
+                    "lengthscale_mean")
 
 
 class _Spec:
@@ -140,8 +138,7 @@ class Rotational(_Spec):
     kind = "rotational"
     names = ("l_x", "l_y", "l_z", "a_1", "a_2", "a_3")
     table = {"lengthscales": _LENGTHSCALES,
-             "axis_angle": Row("axis_angle", "axis_angle", "add",
-                               "axis_angle_sd")}
+             "axis_angle": Row("axis_angle", "add", "axis_angle_sd")}
 
     @classmethod
     def isotropic(cls, ell: float) -> "Rotational":
@@ -173,8 +170,8 @@ class CholeskySpd(_Spec):
 
     kind = "spd"
     names = ("d_1", "d_2", "d_3", "o_1", "o_2", "o_3")
-    table = {"diag": Row("cholesky", "spd", "scale", "spd_logdiag_sd"),
-             "offdiag": Row("cholesky", "spd", "add", "spd_offdiag_sd")}
+    table = {"diag": Row("spd", "scale", "spd_logdiag_sd"),
+             "offdiag": Row("spd", "add", "spd_offdiag_sd")}
 
     @classmethod
     def isotropic(cls, ell: float) -> "CholeskySpd":

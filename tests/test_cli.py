@@ -238,7 +238,7 @@ class TestFit:
             "log_noise": 1.0}
         assert resolved["chain"] == {
             "n_iters": 20, "burn_in": 10, "seed": 0, "thin": 5,
-            "block_updates": False, "sample_noise": False, "rng": "pcg64"}
+            "sample_noise": False, "rng": "pcg64"}
 
     def test_sampled_noise_flows_through_predict(self, dataset_dir, tmp_path):
         fit_out = tmp_path / "fitnoise"
@@ -695,13 +695,13 @@ class TestExperiment:
 
     def test_preset_chains(self):
         desk = {"n_iters": 20_000, "burn_in": 10_000, "thin": 5,
-                "block_updates": False, "sample_noise": False}
+                "sample_noise": False}
         assert {name: preset["chain"]
                 for name, preset in EXPERIMENT_PRESETS.items()} == {
             "d1": desk,
             "d2": desk,
             "plane-holdout": {"n_iters": 12_000, "burn_in": 6_000, "thin": 5,
-                              "block_updates": False, "sample_noise": False},
+                              "sample_noise": False},
         }
 
     def test_bad_chain_bounds_is_config_error(self, dataset_dir, tmp_path):
@@ -905,6 +905,14 @@ def _pids_with_arg(arg: str) -> list[int]:
     return pids
 
 
+# Run from the repository root; README gives the same command.
+_REGENERATE_SCHEMAS = (
+    "PYTHONPATH=src python -c \"from rotgp.config import SCHEMAS; "
+    "from rotgp.table import dump_json; "
+    "[dump_json(f'docs/schemas/{n}.schema.json', s) "
+    "for n, s in SCHEMAS.items()]\"")
+
+
 class TestSchemas:
     def test_shipped_schema_files_match_live(self, tmp_path):
         # bytes, not parsed JSON: text that parses the same, such as 0
@@ -914,7 +922,9 @@ class TestSchemas:
             live = tmp_path / f"{name}.schema.json"
             dump_json(live, schema)
             with open(os.path.join(root, live.name), "rb") as f:
-                assert f.read() == live.read_bytes(), live.name
+                assert f.read() == live.read_bytes(), (
+                    f"{live.name} differs from the live schema; regenerate "
+                    f"docs/schemas/ with: {_REGENERATE_SCHEMAS}")
 
     def test_schemas_are_valid(self):
         root = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
@@ -1041,7 +1051,8 @@ _MATERN_WITHOUT_NU = {"model": "ard", "profile": {"type": "matern"},
     "config-list", "config-number", "config-null", "experiment-scenario-list",
     "experiment-scenario-object", "generate-stray-field", "generate-se-nu",
     "fit-se-nu", "predict-stray-field", "experiment-generator-stray-field",
-    "experiment-generator-se-nu", "experiment-scales-by-model"])
+    "experiment-generator-se-nu", "experiment-scales-by-model",
+    "fit-block-updates", "experiment-block-updates"])
 def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
                                             case):
     # Every input is read and every setting built before the output
@@ -1069,6 +1080,8 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
     se_nu = {**_MATERN_WITHOUT_NU, "profile": {"type": "se", "nu": 2.5}}
     no_se_nu = "se profile takes no 'nu'"
     small_chain = {"n_iters": 100, "burn_in": 50}
+    block_updates = ("invalid {} config at chain: Additional properties are "
+                     "not allowed ('block_updates' was unexpected)")
     command, doc, error = {
         "generate-matern": ("generate", {
             "n_train": 5, "n_test": 5, "seed": 0,
@@ -1140,6 +1153,15 @@ def test_config_error_creates_no_output_dir(dataset_dir, tmp_path, capsys,
             "proposal_scales_by_model": {"rotational": {"axis_angle": 0.03}}},
             "invalid experiment config at (root): Additional properties are "
             "not allowed ('proposal_scales_by_model' was unexpected)"),
+        # every chain walks its whole state at once
+        "fit-block-updates": ("fit", {
+            "train_csv": train, "model": "ard",
+            "chain": {**small_chain, "block_updates": True}},
+            block_updates.format("fit")),
+        "experiment-block-updates": ("experiment", {
+            "scenario": "d1", "seed": 1,
+            "chain": {**small_chain, "block_updates": True}},
+            block_updates.format("experiment")),
     }[case]
     out = tmp_path / "out"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

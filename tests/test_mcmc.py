@@ -296,13 +296,6 @@ class TestRunChain:
             run_chain(ChainConfig(n_iters=10, burn_in=0, seed=0), tiny_data(),
                       template("ard"), bad_priors, ProposalScales())
 
-    def test_block_updates_bookkeeping(self):
-        cfg = ChainConfig(n_iters=200, burn_in=50, seed=2, block_updates=True)
-        chain = run_chain(cfg, tiny_data(), template("rotational"), Priors(),
-                          ProposalScales())
-        assert set(chain.accept_counts) == {"lengthscales", "axis_angle"}
-        assert chain.n_iters == 200
-
     def test_sampled_noise_column(self):
         cfg = ChainConfig(n_iters=300, burn_in=100, seed=4, sample_noise=True)
         chain = run_chain(cfg, tiny_data(), template("ard"), Priors(),
@@ -323,38 +316,20 @@ class TestRunChain:
         assert np.all(np.isfinite(noise)) and np.all(noise > 0)
         assert np.all(np.isfinite(chain.log_posts))
 
-    @pytest.mark.parametrize("kind", ["ard", "rotational", "spd"])
-    def test_default_noise_proposal_in_acceptance_window(self, d1_desk_train,
-                                                         kind):
-        # With noise sampled, the default noise step must mix: a short d1
-        # chain at n=300 accepts noise moves at a rate inside the window.
-        chain = run_chain(ChainConfig(n_iters=200, burn_in=100, thin=2, seed=1,
-                                      block_updates=True, sample_noise=True),
-                          d1_desk_train,
-                          GPModel(SquaredExponential(),
-                                  template(kind).params, 0.0025),
-                          Priors(), ProposalScales())
-        lo, hi = ACCEPT_RATE_WINDOW
-        assert lo < chain.acceptance_rates()["noise"] < hi
-
-    @pytest.mark.parametrize("block_updates", [False, True],
-                             ids=["joint", "blocks"])
     def test_default_axis_angle_proposal_in_acceptance_window(
-            self, d1_desk_train, block_updates):
+            self, d1_desk_train):
         # A standalone rotational fit with the default steps must mix once
         # the chain reaches the narrow d1 posterior at n=300, which takes a
-        # few thousand iterations: at an axis-angle step of 0.08 both rates
-        # fall under the window (0.037 joint, 0.045 axis-angle block).
+        # few thousand iterations: at an axis-angle step of 0.08 the rate
+        # falls under the window (0.037).
         chain = run_chain(ChainConfig(n_iters=3000, burn_in=1000, thin=5,
-                                      seed=1, block_updates=block_updates),
+                                      seed=1),
                           d1_desk_train,
                           GPModel(SquaredExponential(),
                                   template("rotational").params, 0.0025),
                           Priors(), ProposalScales())
-        rate = chain.acceptance_rates()[
-            "axis_angle" if block_updates else "joint"]
         lo, hi = ACCEPT_RATE_WINDOW
-        assert lo < rate < hi
+        assert lo < chain.acceptance_rates()["joint"] < hi
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ChainConfig(n_iters=200, burn_in=50, seed=9, thin=2)
@@ -418,7 +393,7 @@ class TestPriorSampling:
         # the mean of log d by 1.5^2, about eighty standard errors.
         priors = Priors()
         cfg = ChainConfig(n_iters=40_000, burn_in=2_000, seed=14, thin=1,
-                          block_updates=True, sample_noise=True)
+                          sample_noise=True)
         chain = run_chain(cfg, None, template("spd"), priors,
                           ProposalScales(spd=1.6, log_noise=2.5))
         s = chain.states
@@ -449,11 +424,9 @@ class TestPriorSampling:
         assert abs(draws.std(ddof=1) - 0.05) < 3 * se_sd
 
     @pytest.mark.parametrize("kind", list(SPECS))
-    @pytest.mark.parametrize("block_updates, sample_noise", [
-        (False, False), (False, True), (True, True)],
-        ids=["joint", "joint-noise", "blocks-noise"])
-    def test_adapted_chain_reproduces_the_prior(self, kind, block_updates,
-                                                sample_noise):
+    @pytest.mark.parametrize("sample_noise", [False, True],
+                             ids=["joint", "joint-noise"])
+    def test_adapted_chain_reproduces_the_prior(self, kind, sample_noise):
         # Burn-in adapts the walk from the default steps, which are far too
         # small for these priors; the frozen walk after it must still be a
         # valid MH kernel for the prior: each part's marginal, on the
@@ -463,7 +436,6 @@ class TestPriorSampling:
         priors = Priors(lengthscale_mean=(0.5, 0.5, 0.5),
                         lengthscale_sd=(0.1, 0.1, 0.1), axis_angle_sd=0.5)
         cfg = ChainConfig(n_iters=30_000, burn_in=5_000, seed=31, thin=1,
-                          block_updates=block_updates,
                           sample_noise=sample_noise)
         chain = run_chain(cfg, None, template(kind), priors, ProposalScales())
         s = chain.states
@@ -502,12 +474,12 @@ class TestAdaptation:
         cfg = ChainConfig(n_iters=200, burn_in=100, seed=5, thin=1)
         chain = run_chain(cfg, tiny_data(), template("rotational"), Priors(),
                           ProposalScales(log_lengthscale=30.0, axis_angle=1e3))
-        assert chain.accept_counts == {"joint": 0}
+        assert chain.accepted == 0
         assert len(fallbacks) == 4 and all(fallbacks)
         assert np.all(chain.states == chain.states[0])
 
     def test_window_without_enough_distinct_states_gives_the_diagonal(self):
-        parts = mcmc._group(Rotational, False, None)
+        parts = mcmc.layout(Rotational, False)
         walk = mcmc._Walk(parts, ProposalScales(), 100)
         rng = np.random.default_rng(0)
         # eleven distinct states, each held three times; d = 6 needs twelve
@@ -535,12 +507,11 @@ class TestAdaptation:
                                rng)
         assert chain.states.tolist() == [state.x.tolist()]
 
-    @pytest.mark.parametrize("block_updates, groups", [(False, 1), (True, 3)],
-                             ids=["joint", "blocks"])
-    def test_adaptation_costs_no_likelihood(self, monkeypatch, block_updates,
-                                            groups):
-        # one likelihood at the start and one per group per iteration; the
-        # climb to the start before the first step is counted apart
+    @pytest.mark.parametrize("sample_noise", [False, True],
+                             ids=["joint", "joint-noise"])
+    def test_adaptation_costs_no_likelihood(self, monkeypatch, sample_noise):
+        # one likelihood at the start and one per iteration; the climb to
+        # the start before the first step is counted apart
         calls, climbed = [], []
         lml = mcmc.log_marginal_likelihood
         monkeypatch.setattr(mcmc, "log_marginal_likelihood",
@@ -555,19 +526,19 @@ class TestAdaptation:
 
         monkeypatch.setattr(mcmc, "_climb", counted_climb)
         cfg = ChainConfig(n_iters=200, burn_in=100, seed=6, thin=1,
-                          block_updates=block_updates, sample_noise=True)
+                          sample_noise=sample_noise)
         run_chain(cfg, tiny_data(), template("rotational"), Priors(),
                   ProposalScales())
         assert len(climbed) == 1 and climbed[0] > 0
-        assert len(calls) - climbed[0] == 200 * groups + 1
+        assert len(calls) - climbed[0] == 200 + 1
 
     def test_ard_lengthscales_accept_inside_the_window(self, d1_desk_train):
-        # With the noise sampled and block updates, the default steps
-        # accepted 0.70-0.76 of the ARD length-scale moves on d1 at n=300.
-        # After burn-in the frozen walk must accept inside the window,
-        # counted from the stored rows.
+        # With the noise sampled, the frozen walk after burn-in must move
+        # the ARD length-scales on d1 at n=300 at a rate inside the window,
+        # counted from the stored rows: 0.43 of them moved, at a joint
+        # acceptance of 0.39.
         cfg = ChainConfig(n_iters=400, burn_in=200, thin=1, seed=1,
-                          block_updates=True, sample_noise=True)
+                          sample_noise=True)
         chain = run_chain(cfg, d1_desk_train,
                           GPModel(SquaredExponential(),
                                   template("ard").params, 0.0025),
@@ -720,7 +691,7 @@ class TestSummarize:
                       param_names=list(Rotational.names),
                       iters=np.arange(1, 21), states=states,
                       log_posts=np.full(20, -3.0),
-                      accept_counts={"joint": 5}, n_iters=20,
+                      accepted=5, n_iters=20,
                       fixed_noise_var=0.0025)
         s = summarize(chain)
         for name in chain.param_names:

@@ -26,7 +26,7 @@ def _train(tmp):
 def _chain(tmp):
     Chain(kind="ard", param_names=["l_x", "l_y", "l_z"],
           iters=np.array([5, 10], dtype=np.int64), states=X,
-          log_posts=np.array([-1.5, -0.1]), accept_counts={},
+          log_posts=np.array([-1.5, -0.1]), accepted=0,
           n_iters=10, fixed_noise_var=None).to_csv(tmp / "chain.csv")
     return "chain.csv", ("iter,log_post,l_x,l_y,l_z\n"
                          "5,-1.5,0.1,-2.0,1e-05\n"
