@@ -1,4 +1,4 @@
-"""Random-walk Metropolis-Hastings over metric parameters.
+"""Metropolis-Hastings over metric parameters.
 
 The sampler is generic. Its state is one flat vector ``x``, laid out as a
 stored chain row (:func:`columns`), which only this module reads, maps to a
@@ -13,13 +13,16 @@ lives on the raw coordinate, so their log-scale walk carries the
 log-proposal Jacobian in the acceptance ratio and the target density is
 unchanged.
 
-Each iteration moves the whole state by one Gaussian step over the
-coordinates the moves walk. Burn-in learns that step's covariance
-(:class:`_Walk`), and the stored chain is plain Metropolis-Hastings with the
-kernel frozen at the end of burn-in. A chain with data whose burn-in adapts
-first climbs from the prior-mean start to a posterior mode, by BFGS on the
-exact gradient, and starts there (:func:`_climb`), so its stored rows are
-not spent on the climb.
+A chain with data whose burn-in adapts first climbs from the prior-mean
+start to a posterior mode, by BFGS on the exact gradient, and starts there
+(:func:`_climb`), so its stored rows are not spent on the climb. Where the
+climb's fit to the posterior at that mode converges, each iteration draws
+its proposal afresh from that fit: an independence Metropolis-Hastings
+kernel (:class:`_Laplace`), kept if it accepts enough of the first half of
+burn-in. Every other chain walks: each iteration moves the whole state by
+one Gaussian step over the coordinates the moves walk, burn-in learns that
+step's covariance (:class:`_Walk`), and the stored chain is plain
+Metropolis-Hastings with the walk frozen at the end of burn-in.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order, and the climb draws none.
@@ -67,6 +70,21 @@ CLIMB_TOL = 1e-2
 _MAX_STEP = 1.0
 _FIRST_STEP = 0.25
 _FD_STEP = 1e-5
+
+# The climb then fits the posterior at its mode on all the data (see
+# _fit_mode): a forward-difference Hessian of the gradient with steps of
+# HESSIAN_STEP starts BFGS, which has converged once its Newton decrement
+# g^T H g is below NEWTON_TOL, within MODE_EVALS evaluations after its start.
+# The independence kernel (see _Laplace) then proposes from that fit: a
+# multivariate t with LAPLACE_NU degrees of freedom, LAPLACE_SCALE times as
+# wide. A chain whose kernel accepts less than LAPLACE_MIN_ACCEPT of the
+# first half of burn-in walks from there on (see run_chain).
+HESSIAN_STEP = 1e-4
+NEWTON_TOL = 0.1
+MODE_EVALS = 15
+LAPLACE_NU = 6
+LAPLACE_SCALE = 1.2
+LAPLACE_MIN_ACCEPT = 0.2
 
 _NEG_INF = float("-inf")
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -176,15 +194,27 @@ class Chain:
     def n_samples(self) -> int:
         return int(self.states.shape[0])
 
+    @property
+    def kernel(self) -> str:
+        """``"laplace"`` or ``"walk"``: the kernel that ran the stored rows,
+        as ``start`` records it; the walk where no climb ran."""
+        return "walk" if self.start is None else self.start["kernel"]
+
     def acceptance_rates(self) -> dict[str, float]:
         return {"joint": self.accepted / self.n_iters}
 
     def rate_flags(self) -> list[str]:
+        """The rates outside ``ACCEPT_RATE_WINDOW``. An independence
+        proposal close to the posterior accepts most of its draws, so the
+        laplace kernel is flagged only below the trial's least rate,
+        ``LAPLACE_MIN_ACCEPT``: having passed its trial, it stuck later."""
         lo, hi = ACCEPT_RATE_WINDOW
+        if self.kernel == "laplace":
+            lo, hi = LAPLACE_MIN_ACCEPT, math.inf
         return [
-            f"acceptance rate {r:.3f} for block '{b}' outside ({lo}, {hi})"
-            for b, r in self.acceptance_rates().items()
-            if not lo < r < hi
+            f"acceptance rate {r:.3f} of the {self.kernel} kernel outside "
+            f"({lo}, {hi})"
+            for r in self.acceptance_rates().values() if not lo < r < hi
         ]
 
     def to_csv(self, path) -> None:
@@ -500,6 +530,39 @@ def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset,
     return value, grad
 
 
+def _line_search(fun, u: np.ndarray, value: float, grad: np.ndarray,
+                 p: np.ndarray, evals: int, max_evals: int):
+    """Armijo backtracking along ``p`` from ``u``, halving from the full
+    step (Nocedal & Wright 2006, alg. 3.1). A value of +inf, a failed
+    evaluation, backtracks. Returns the step, the value and gradient at its
+    end and the evaluations counted so far; the step is None once they
+    reach ``max_evals`` first."""
+    t = 1.0
+    while True:
+        new_value, new_grad = fun(u + t * p)
+        evals += 1
+        if new_value <= value + 1e-4 * t * float(grad @ p):
+            return t * p, new_value, new_grad, evals
+        if evals == max_evals:
+            return None, value, grad, evals
+        t *= 0.5
+
+
+def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray
+                 ) -> np.ndarray | None:
+    """The BFGS inverse Hessian after the step ``s`` changed the gradient by
+    ``y`` (N&W eq. 6.17); ``H`` as it was where s^T y shows no curvature. A
+    first step sizes a missing ``H`` (N&W eq. 6.20)."""
+    sy = float(s @ y)
+    if sy <= 0.0:
+        return H
+    eye = np.eye(s.size)
+    if H is None:
+        H = sy / float(y @ y) * eye
+    V = eye - np.outer(s, y) / sy
+    return V @ H @ V.T + np.outer(s, s) / sy
+
+
 def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
     """Minimise ``fun(u) -> (value, grad)`` from ``u`` by BFGS with Armijo
     backtracking (Nocedal & Wright 2006, ch. 6). A value of +inf, a failed
@@ -515,24 +578,13 @@ def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
         scaled = H is not None
         p *= min(1.0, (_MAX_STEP if scaled else _FIRST_STEP)
                  / float(np.linalg.norm(p)))
-        t = 1.0
-        while True:
-            new_value, new_grad = fun(u + t * p)
-            evals += 1
-            if new_value <= value + 1e-4 * t * float(grad @ p):
-                break
-            if evals == max_evals:
-                return u, evals
-            t *= 0.5
-        s, y = t * p, new_grad - grad
+        s, new_value, new_grad, evals = _line_search(fun, u, value, grad, p,
+                                                     evals, max_evals)
+        if s is None:
+            return u, evals
+        H = _bfgs_update(H, s, new_grad - grad)
         gain = value - new_value
         u, value, grad = u + s, new_value, new_grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            if H is None:  # the first step sizes H (N&W eq. 6.20)
-                H = sy / float(y @ y) * eye
-            V = eye - np.outer(s, y) / sy
-            H = V @ H @ V.T + np.outer(s, s) / sy
         # the small gain of a step not yet scaled by the curvature shows no
         # convergence: it may have crossed a valley
         if scaled and gain < CLIMB_TOL:
@@ -540,17 +592,60 @@ def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
     return u, evals
 
 
-def _climb(start: SamplerState, model: GPModel, priors: Priors,
-           data: Dataset) -> tuple[SamplerState, dict]:
-    """The state a chain starts at: the prior-mean ``start``, or a
-    posterior mode if that scores higher on ``data``; and the record
-    ``summary.json`` keeps as ``start``.
+def _fit_mode(fun, u: np.ndarray):
+    """Newton-started BFGS on the full data from ``u``. Its first inverse
+    Hessian inverts a forward-difference Hessian of ``fun``'s gradient
+    there, symmetrised and with its eigenvalues made positive by their
+    absolute values; it has converged once the Newton decrement g^T H g is
+    below ``NEWTON_TOL``, and gives up after ``MODE_EVALS`` more
+    evaluations. Returns the last point accepted, the number of
+    evaluations, and the inverse Hessian if BFGS converged and it is
+    positive definite, else None."""
+    value, grad = fun(u)
+    if grad is None:
+        return u, 1, None
+    rows = [fun(u + HESSIAN_STEP * e)[1] for e in np.eye(u.size)]
+    evals = 1 + u.size
+    if any(g is None for g in rows):
+        return u, evals, None
+    hess = (np.array(rows) - grad) / HESSIAN_STEP
+    w, V = np.linalg.eigh(0.5 * (hess + hess.T))
+    w = np.abs(w)
+    if not np.all(w > 0.0):
+        return u, evals, None
+    H, max_evals = (V / w) @ V.T, evals + MODE_EVALS
+    while float(grad @ H @ grad) >= NEWTON_TOL:
+        if evals == max_evals:
+            return u, evals, None
+        p = -H @ grad
+        p *= min(1.0, _MAX_STEP / float(np.linalg.norm(p)))
+        s, value, new_grad, evals = _line_search(fun, u, value, grad, p,
+                                                 evals, max_evals)
+        if s is None:
+            return u, evals, None
+        H = _bfgs_update(H, s, new_grad - grad)
+        u, grad = u + s, new_grad
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return u, evals, None
+    return u, evals, H
 
-    The search runs on every ``ceil(n / CLIMB_POINTS)``-th point of
+
+def _climb(start: SamplerState, model: GPModel, priors: Priors,
+           data: Dataset) -> tuple[SamplerState, dict, "_Laplace | None"]:
+    """The state a chain starts at: the prior-mean ``start``, or a
+    posterior mode if that scores higher on ``data``; the record
+    ``summary.json`` keeps as ``start``; and the independence kernel that
+    proposes from the fit at the mode, or None if the chain walks.
+
+    The search first runs on every ``ceil(n / CLIMB_POINTS)``-th point of
     ``data``, on :func:`_log_target` in the coordinates the chain walks. Of
     ``start`` and the isotropic metrics ``ell^-2 I`` over ``CLIMB_GRID``
     (with ``start``'s noise), BFGS starts from the one that scores highest
-    there. It draws no random numbers.
+    there. From its end, :func:`_fit_mode` climbs on all of ``data``; if it
+    converges, the chain proposes from its fit (:class:`_Laplace`). It
+    draws no random numbers.
     """
     spec = type(model.params)
     positive, jacobian = _walk_masks(layout(spec,
@@ -558,8 +653,8 @@ def _climb(start: SamplerState, model: GPModel, priors: Priors,
     step = -(-data.n // CLIMB_POINTS)
     subset = Dataset(data.X[::step], data.y[::step])
 
-    def minus(u):
-        value, grad = _log_target(u, model, priors, subset, positive, jacobian)
+    def minus(u, on=subset):
+        value, grad = _log_target(u, model, priors, on, positive, jacobian)
         return (math.inf, None) if grad is None else (-value, -grad)
 
     def score(x):  # the objective's value alone
@@ -574,23 +669,86 @@ def _climb(start: SamplerState, model: GPModel, priors: Priors,
     scores = [score(x) for x in candidates]
     best = candidates[scores.index(max(scores))]
     u, evals = _bfgs(minus, _to_walk(best, positive), CLIMB_EVALS)
+    u, gradients, H = _fit_mode(functools.partial(minus, on=data), u)
     end = _score(_from_walk(u, positive), model, priors, data)
     chosen = end if end.log_post > start.log_post else start
-    return chosen, {"prior_mean_log_post": start.log_post,
-                    "log_post": chosen.log_post, "bfgs_evaluations": evals}
+    laplace = None if H is None else _Laplace(u, H, positive, jacobian)
+    record = {"prior_mean_log_post": start.log_post,
+              "log_post": chosen.log_post, "bfgs_evaluations": evals,
+              "full_data_gradients": gradients,
+              "kernel": "walk" if laplace is None else "laplace"}
+    return chosen, record, laplace
+
+
+class _Laplace:
+    """The independence Metropolis-Hastings kernel (Tierney 1994): every
+    proposal is drawn afresh, in walk coordinates, as
+    ``mode + LAPLACE_SCALE * chol(H) z`` with z multivariate t with
+    ``LAPLACE_NU`` degrees of freedom, where ``H`` is the inverse Hessian of
+    the posterior at its ``mode``. A proposal u' from the state u is
+    accepted with probability min(1, pi(u') q(u) / (pi(u) q(u'))), with pi
+    the posterior's density in walk coordinates (:func:`_log_target`'s
+    value) and q the proposal's. Its heavy tails bound that ratio where the
+    posterior's tails are a little wider than the fit's; where the fit
+    misses part of the posterior, a draw there can hold the chain for many
+    iterations.
+    """
+
+    def __init__(self, mode: np.ndarray, H: np.ndarray, positive: np.ndarray,
+                 jacobian: np.ndarray):
+        self.mode, self.positive, self.jacobian = mode, positive, jacobian
+        self.factor = LAPLACE_SCALE * np.linalg.cholesky(H)
+        self._current = (None, 0.0)  # a state and its weight
+
+    def _weight(self, log_post: float, u: np.ndarray, z: np.ndarray) -> float:
+        """log pi(u) - log q(u), up to a constant, at u = mode + factor z."""
+        return (log_post + float(np.sum(u[self.jacobian]))
+                + 0.5 * (LAPLACE_NU + u.size)
+                * math.log1p(float(z @ z) / LAPLACE_NU))
+
+    def step(self, state: SamplerState, data: Dataset, model: GPModel,
+             priors: Priors, rng: np.random.Generator
+             ) -> tuple[SamplerState, bool]:
+        """One independence Metropolis-Hastings update from ``state``.
+        Proposals whose prior is -inf or whose Gram cannot be factorized are
+        rejected without drawing a uniform, as in :func:`mh_step`."""
+        current, weight = self._current
+        if state is not current:
+            u = _to_walk(state.x, self.positive)
+            weight = self._weight(state.log_post, u, np.linalg.solve(
+                self.factor, u - self.mode))
+            self._current = (state, weight)
+        z = rng.standard_normal(self.mode.size) * math.sqrt(
+            LAPLACE_NU / rng.chisquare(LAPLACE_NU))
+        u = self.mode + self.factor @ z
+        # a draw far out in the tails lands outside the prior's support
+        with np.errstate(over="ignore"):
+            new = _score(_from_walk(u, self.positive), model, priors, data)
+        if new.log_post == _NEG_INF:
+            return state, False
+        new_weight = self._weight(new.log_post, u, z)
+        if rng.uniform() < math.exp(min(new_weight - weight, 0.0)):
+            self._current = (new, new_weight)
+            return new, True
+        return state, False
 
 
 def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
               priors: Priors, scales: ProposalScales) -> Chain:
-    """Run a single RWMH chain; deterministic given the config seed.
+    """Run a single Metropolis-Hastings chain; deterministic given the
+    config seed.
 
     ``model`` is a template: its ``params`` field selects the
     parameterisation, its ``profile`` and ``noise_var`` are used as given
     (noise_var is ignored when ``config.sample_noise``). ``data=None``
-    samples the prior (constant likelihood). ``scales`` are the starting
-    steps; burn-in adapts the walk (:class:`_Walk`), so adaptation costs no
-    likelihood. A chain with data whose burn-in adapts starts where
-    :func:`_climb` puts it; others start at the prior mean.
+    samples the prior (constant likelihood). A chain with data whose
+    burn-in adapts starts where :func:`_climb` puts it, and runs the
+    independence kernel it returns, if any (:class:`_Laplace`), for the
+    first half of burn-in. If that accepted at least ``LAPLACE_MIN_ACCEPT``
+    of its proposals, the kernel runs to the end; otherwise the chain walks
+    from there. Other chains start at the prior mean and walk throughout.
+    A walk takes ``scales`` as its starting steps, and the burn-in it runs
+    adapts it (:class:`_Walk`), so adaptation costs no likelihood.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spec = type(model.params)
@@ -599,11 +757,14 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
         raise ChainInitError(
             f"initial state has invalid posterior (log_lik={state.log_lik}, "
             f"log_prior={state.log_prior})")
-    start = None
+    start = laplace = None
     if data is not None and config.burn_in >= ADAPT_EVERY:
-        state, start = _climb(state, model, priors, data)
+        state, start, laplace = _climb(state, model, priors, data)
 
-    walk = _Walk(layout(spec, config.sample_noise), scales, config.burn_in)
+    # the independence kernel's trial: the first half of burn-in
+    trial = 0 if laplace is None else config.burn_in // 2
+    walk = _Walk(layout(spec, config.sample_noise), scales,
+                 config.burn_in - trial)
     accepted = 0
     names = columns(spec, config.sample_noise)
     n_keep = (config.n_iters - config.burn_in) // config.thin
@@ -613,9 +774,15 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     kept = 0
     for i in range(1, config.n_iters + 1):
-        state, moved = mh_step(state, data, model, priors, scales, rng,
-                               walk.factor)
-        walk.learn(i, moved, state.x)
+        if laplace is None:
+            state, moved = mh_step(state, data, model, priors, scales, rng,
+                                   walk.factor)
+            walk.learn(i - trial, moved, state.x)
+        else:
+            state, moved = laplace.step(state, data, model, priors, rng)
+            # a fit far from the posterior accepts little, and sticks
+            if i == trial and accepted + moved < LAPLACE_MIN_ACCEPT * trial:
+                laplace, start["kernel"] = None, "walk"
         accepted += moved
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             iters[kept] = i

@@ -142,9 +142,13 @@ class TestFit:
     def test_summary_records_the_climb_to_the_start(self, fit_dir):
         start = json.loads((fit_dir / "summary.json").read_text())["start"]
         assert set(start) == {"prior_mean_log_post", "log_post",
-                              "bfgs_evaluations"}
+                              "bfgs_evaluations", "full_data_gradients",
+                              "kernel"}
         assert start["log_post"] >= start["prior_mean_log_post"]
         assert start["bfgs_evaluations"] >= 1
+        # the Hessian's d + 1 gradients at least
+        assert start["full_data_gradients"] >= 7
+        assert start["kernel"] in ("laplace", "walk")
 
     def test_short_burn_in_records_no_start(self, dataset_dir, tmp_path):
         out = tmp_path / "fit"
@@ -660,6 +664,22 @@ class TestExperiment:
         resolved = json.loads((out / "resolved-config.json").read_text())
         assert resolved["derived_seeds"] == {"rotational": 110, "spd": 111,
                                              "ard": 112}
+
+    def test_benchmark_sized_d1_fits_propose_from_the_laplace_fit(
+            self, tmp_path):
+        # d1 at n = 300 with 500-iteration chains: each fit's mode search
+        # converges, so every chain runs the independence kernel, and its
+        # acceptance raises no flag
+        out = tmp_path / "exp"
+        cfg = write_json(tmp_path / "x.json", {
+            "n_train": 300, "n_test": 150,
+            "chain": {"n_iters": 500, "burn_in": 250, "thin": 1}})
+        assert main(["experiment", "--preset", "d1", "--seed", "100",
+                     "--config", cfg, "--out", str(out)]) == 0
+        for model in ("rotational", "spd", "ard"):
+            summary = json.loads((out / model / "summary.json").read_text())
+            assert summary["start"]["kernel"] == "laplace"
+            assert summary["flags"] == []
 
     def test_tiny_plane_holdout_scenario(self, tmp_path):
         out = tmp_path / "exph"
