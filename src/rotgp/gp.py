@@ -140,10 +140,7 @@ def predict(model: GPModel, train: Dataset, X_test) -> PredictiveResult:
     ``noise_var`` to absorb round-off.
     """
     X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
-    M = build_metric(model.params)
-    gm = gram(model.profile, M, train.X, model.noise_var)
-    C = gm.chol_lower
-    alpha = cho_solve((C, True), train.y, check_finite=False)
+    _, M, C, alpha = _solve(model, train)
     m = X_test.shape[0]
     mean = np.empty(m)
     explained = np.empty(m)

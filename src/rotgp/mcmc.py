@@ -1,17 +1,19 @@
 """Metropolis-Hastings over metric parameters.
 
-The sampler is generic. Its state is one flat vector ``x``, laid out as a
-stored chain row (:func:`columns`), which only this module reads, maps to a
-model (:func:`row_params`) and summarises. :func:`layout` pairs each part of
-``x`` with the ``metric.Row`` that governs it: the spec's table declares one
-per field (see :mod:`rotgp.metric`), and the noise's is this module's own
-``_NOISE``. The walk, the log prior and the prior-mean start all go through
-that layout, the same way for every part: a row's move (``_MOVES``) gives the
-walk's step, the coordinate the Gaussian prior is on and that coordinate's
-inverse, which maps the prior mean to the start. The length-scales' prior
-lives on the raw coordinate, so their log-scale walk carries the
-log-proposal Jacobian in the acceptance ratio and the target density is
-unchanged.
+The sampler is generic. Its state lives in walk coordinates ``u``, which
+map to a stored chain row ``x`` (:func:`columns`): x = exp(u) where x must
+be positive, x = u elsewhere. Only this module reads that row, maps it to a
+model (:func:`row_params`) and summarises it. :func:`layout` pairs each part
+of the row with the ``metric.Row`` that governs it: the spec's table
+declares one per field (see :mod:`rotgp.metric`), and the noise's is this
+module's own ``_NOISE``. A row's move (``_MOVES``) says whether its part is
+positive, and gives the coordinate its Gaussian prior is on and that
+coordinate's inverse, which maps the prior mean to the start.
+
+Each kernel proposes a u' with its log proposal ratio, and one
+:func:`mh_step` accepts it or not, on one target: the posterior's log
+density in u (:attr:`SamplerState.log_target`). The chain stores x and the
+log posterior at x, without the Jacobian.
 
 A chain with data whose burn-in adapts first climbs from the prior-mean
 start to a posterior mode, by BFGS on the exact gradient, and starts there
@@ -19,10 +21,10 @@ start to a posterior mode, by BFGS on the exact gradient, and starts there
 climb's fit to the posterior at that mode converges, each iteration draws
 its proposal afresh from that fit: an independence Metropolis-Hastings
 kernel (:class:`_Laplace`), kept if it accepts enough of the first half of
-burn-in. Every other chain walks: each iteration moves the whole state by
-one Gaussian step over the coordinates the moves walk, burn-in learns that
-step's covariance (:class:`_Walk`), and the stored chain is plain
-Metropolis-Hastings with the walk frozen at the end of burn-in.
+burn-in. Every other chain walks: each iteration moves the whole of u by
+one Gaussian step, burn-in learns that step's covariance (:class:`_Walk`),
+and the stored chain is plain Metropolis-Hastings with the walk frozen at
+the end of burn-in.
 
 Chains are deterministic given the seed: one PCG64 generator drives proposal
 noise and acceptance uniforms in a fixed order, and the climb draws none.
@@ -165,15 +167,24 @@ class ChainConfig:
 
 @dataclass
 class SamplerState:
-    """Current flat state ``x`` with cached log-likelihood and log-prior."""
+    """The walk coordinates ``u``, the chain row ``x`` they map to, and the
+    cached log-likelihood, log prior and log Jacobian of x in u."""
 
+    u: np.ndarray
     x: np.ndarray
     log_lik: float
     log_prior: float
+    log_jacobian: float
 
     @property
     def log_post(self) -> float:
+        """The log posterior at x, as the chain stores it."""
         return self.log_lik + self.log_prior
+
+    @property
+    def log_target(self) -> float:
+        """The posterior's log density in u, which every kernel samples."""
+        return self.log_post + self.log_jacobian
 
 
 @dataclass
@@ -244,24 +255,15 @@ class PosteriorSummary:
                 "posterior_mean_params": self.posterior_mean_params.to_dict()}
 
 
-# Each move by name: its walk of x by eps, the coordinate its prior is on and
-# that coordinate's inverse, and whether x must be positive, which is whether
-# the walk is on log x (the coordinate _Walk learns in). ``add`` walks
-# x + eps with the prior on x; ``scale`` x * exp(eps) with the prior on log x;
-# ``jacobian`` x * exp(eps) with the prior on x > 0, so the acceptance ratio
-# carries the log-proposal Jacobian sum(eps). ``log`` is the noise's: it keeps
-# the bytes of exp(log x + eps), which x * exp(eps) would change in the last
-# bits, and takes its prior's log and its start's exp from Python's math,
-# whose last bits numpy's log and exp do not always match.
-_MOVES = {"add": (lambda x, eps: x + eps, np.asarray, np.asarray, False),
-          "scale": (lambda x, eps: x * np.exp(eps), np.log, np.exp, True),
-          "jacobian": (lambda x, eps: x * np.exp(eps), np.asarray, np.asarray,
-                       True),
-          "log": (lambda x, eps: np.exp(np.log(x) + eps),
-                  lambda v: np.array([math.log(t) for t in v]),
-                  lambda v: np.array([math.exp(t) for t in v]), True)}
+# Each move by name: the coordinate its prior is on, that coordinate's
+# inverse, and whether x must be positive, so that u = log x. ``add`` has its
+# prior on x = u, ``scale`` on log x = u, and ``jacobian`` on x = exp(u), so
+# the target in u carries the log Jacobian sum(u) (SamplerState.log_target).
+_MOVES = {"add": (np.asarray, np.asarray, False),
+          "scale": (np.log, np.exp, True),
+          "jacobian": (np.asarray, np.asarray, True)}
 
-_NOISE = Row("log_noise", "log", "log_noise_sd", "log_noise_mean")
+_NOISE = Row("log_noise", "scale", "log_noise_sd", "log_noise_mean")
 
 
 @functools.cache
@@ -295,13 +297,41 @@ def row_params(spec: type, row, fixed_noise_var) -> tuple[MetricParams, float]:
     return spec.from_vector(row), noise_var
 
 
+@functools.cache
+def _masks(spec: type, sample_noise: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per coordinate of a chain row, in :func:`layout` order: whether it
+    must be positive, so that u = log x, and whether its move is
+    ``jacobian``. Cached, so every caller shares them: index, never write."""
+    moves = np.array([row.move for part, row in layout(spec, sample_noise)
+                      for _ in range(part.start, part.stop)])
+    return np.array([_MOVES[move][2] for move in moves]), moves == "jacobian"
+
+
+def _to_walk(x: np.ndarray, spec: type) -> np.ndarray:
+    """The walk coordinates of the row ``x``; not finite off its support."""
+    positive = _masks(spec, x.size > len(spec.names))[0]
+    u = x.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u[positive] = np.log(x[positive])
+    return u
+
+
+def _from_walk(u: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The chain rows at walk coordinates ``u``, one per row of ``u``; one
+    that overflows lands outside the prior's support."""
+    x = u.copy()
+    with np.errstate(over="ignore"):
+        x[..., positive] = np.exp(u[..., positive])
+    return x
+
+
 def _log_densities(x: np.ndarray, spec: type, priors: Priors) -> list | None:
     """Each part's elementwise Gaussian log prior densities, on the
     coordinate its move gives; None when a part is not finite, or not
     positive where its move needs it."""
     densities = []
     for part, row in layout(spec, x.size > len(spec.names)):
-        v, (_, coord, _, positive) = x[part], _MOVES[row.move]
+        v, (coord, _, positive) = x[part], _MOVES[row.move]
         if not (np.all(np.isfinite(v)) and (not positive or np.all(v > 0.0))):
             return None
         sd = getattr(priors, row.sd)
@@ -331,17 +361,22 @@ def prior_mean(spec: type, priors: Priors,
     x = np.empty(len(spec.names) + sample_noise)
     for part, row in layout(spec, sample_noise):
         mean = getattr(priors, row.mean) if row.mean else 0.0
-        x[part] = _MOVES[row.move][2](np.full(part.stop - part.start, mean))
+        x[part] = _MOVES[row.move][1](np.full(part.stop - part.start, mean))
     return x
 
 
-def _score(x: np.ndarray, model: GPModel, priors: Priors,
-           data: Dataset | None) -> SamplerState:
-    """The state at ``x``; its likelihood is -inf, uncomputed, if its prior
-    is, and 0 with no data."""
+def _score(u: np.ndarray, model: GPModel, priors: Priors,
+           data: Dataset | None, x: np.ndarray | None = None) -> SamplerState:
+    """The state at walk coordinates ``u``, whose chain row ``x`` is
+    computed from them unless given; its likelihood is -inf, uncomputed, if
+    its prior is, and 0 with no data."""
     spec = type(model.params)
-    lp, ll = log_prior(x, spec, priors), _NEG_INF
+    positive, jacobian = _masks(spec, u.size > len(spec.names))
+    if x is None:
+        x = _from_walk(u, positive)
+    lp, ll, jac = log_prior(x, spec, priors), _NEG_INF, 0.0
     if lp > _NEG_INF:
+        jac = float(np.sum(u[jacobian]))
         params, noise_var = row_params(spec, x, model.noise_var)
         try:
             ll = 0.0 if data is None else log_marginal_likelihood(
@@ -349,78 +384,30 @@ def _score(x: np.ndarray, model: GPModel, priors: Priors,
         except (GramFactorizationError, np.linalg.LinAlgError,
                 InvalidParamsError):
             pass  # unfactorizable proposals are rejected, not fatal
-    return SamplerState(x, ll, lp)
+    return SamplerState(u, x, ll, lp, jac)
 
 
-def mh_step(state: SamplerState, data: Dataset | None, model: GPModel,
-            priors: Priors, scales: ProposalScales, rng: np.random.Generator,
-            walk: np.ndarray | None = None) -> tuple[SamplerState, bool]:
-    """One Metropolis-Hastings update of the whole state; the noise is
-    sampled when ``state.x`` holds it. The steps, in layout order, are
-    ``walk @ rng.normal(0, 1, d)``: ``walk`` is a factor of the step's
-    covariance, by default the diagonal of ``scales``. Proposals whose prior
-    is -inf or whose Gram matrix cannot be factorized are rejected without
-    further work."""
-    spec = type(model.params)
-    parts = layout(spec, state.x.size > len(spec.names))
-    if walk is None:
-        walk = np.diag(_steps(parts, scales))
-    x, jac = state.x.copy(), 0.0
-    # a move that overflows lands outside the prior's support, and is
-    # rejected there
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps = walk @ rng.normal(0.0, 1.0, len(walk))
-        for part, row in parts:
-            e, eps = eps[:part.stop - part.start], eps[part.stop - part.start:]
-            x[part] = _MOVES[row.move][0](x[part], e)
-            if row.move == "jacobian":
-                jac += float(np.sum(e))
-    new = _score(x, model, priors, data)
-    if new.log_post == _NEG_INF:  # its jac may be nan: inf * 0 in the walk
+def mh_step(state: SamplerState, u: np.ndarray, log_q_ratio: float,
+            data: Dataset | None, model: GPModel, priors: Priors,
+            rng: np.random.Generator) -> tuple[SamplerState, bool]:
+    """One Metropolis-Hastings update of the whole state to the proposal at
+    walk coordinates ``u``, with log proposal ratio ``log_q_ratio``,
+    log q(state.u | u) - log q(u | state.u). A proposal whose prior is -inf
+    or whose Gram matrix cannot be factorized is rejected without drawing
+    a uniform."""
+    new = _score(u, model, priors, data)
+    if new.log_post == _NEG_INF:
         return state, False
-    log_alpha = new.log_post - state.log_post + jac
+    log_alpha = new.log_target - state.log_target + log_q_ratio
     if rng.uniform() < math.exp(min(log_alpha, 0.0)):
         return new, True
     return state, False
 
 
-def _per_coordinate(parts: tuple, value) -> np.ndarray:
-    """``value(row)`` for each coordinate of ``parts``, in layout order."""
-    return np.concatenate([np.full(part.stop - part.start, value(row))
-                           for part, row in parts])
-
-
-def _steps(parts: tuple, scales: ProposalScales) -> np.ndarray:
-    """Each coordinate's starting step, in layout order."""
-    return _per_coordinate(parts, lambda row: float(getattr(scales, row.step)))
-
-
-def _walk_masks(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per coordinate of ``parts``: whether its move walks log x, and
-    whether its move is ``jacobian``."""
-    return (_per_coordinate(parts, lambda row: _MOVES[row.move][3]),
-            _per_coordinate(parts, lambda row: row.move == "jacobian"))
-
-
-def _to_walk(x: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """The walk coordinates of the states ``x``, one per row."""
-    u = x.copy()
-    u[..., positive] = np.log(x[..., positive])
-    return u
-
-
-def _from_walk(u: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """The states at walk coordinates ``u``, one per row."""
-    x = u.copy()
-    x[..., positive] = np.exp(u[..., positive])
-    return x
-
-
 class _Walk:
-    """The chain's step covariance, learnt during burn-in (Haario, Saksman &
-    Tamminen 2001) and then frozen (Andrieu & Thoms 2008). Its coordinates
-    are the ones the moves walk: log x where x must be positive, x itself
-    otherwise.
+    """The chain's step covariance in walk coordinates, learnt during
+    burn-in (Haario, Saksman & Tamminen 2001) and then frozen (Andrieu &
+    Thoms 2008).
 
     :meth:`learn` runs after each burn-in iteration. A Robbins-Monro factor
     ``exp(log_scale)`` moves the acceptance towards ``TARGET_ACCEPT`` at
@@ -437,24 +424,26 @@ class _Walk:
     """
 
     def __init__(self, parts: tuple, scales: ProposalScales, burn_in: int):
-        self.steps = _steps(parts, scales)
-        self.log = _walk_masks(parts)[0]
+        self.steps = np.array([getattr(scales, row.step) for part, row in parts
+                               for _ in range(part.start, part.stop)], float)
         self.burn_in = burn_in if burn_in >= ADAPT_EVERY else 0
         self.states = np.empty((self.burn_in, len(self.steps)))
         self.cov_factor = np.diag(self.steps)
         self.log_scale = 0.0
 
-    @property
-    def factor(self) -> np.ndarray:
-        """The factor of the step's covariance that ``mh_step`` takes."""
-        return math.exp(self.log_scale) * self.cov_factor
+    def propose(self, state: SamplerState, rng: np.random.Generator
+                ) -> tuple[np.ndarray, float]:
+        """``state.u`` plus a step ``factor @ z``, z standard normal, and the
+        symmetric walk's log proposal ratio, 0."""
+        factor = math.exp(self.log_scale) * self.cov_factor
+        return state.u + factor @ rng.normal(0.0, 1.0, len(factor)), 0.0
 
-    def learn(self, i: int, accepted: bool, x: np.ndarray) -> None:
+    def learn(self, i: int, accepted: bool, u: np.ndarray) -> None:
         """Adapt to burn-in iteration ``i`` (from 1), which left the chain
-        at ``x``."""
+        at walk coordinates ``u``."""
         if i > self.burn_in:
             return
-        self.states[i - 1] = _to_walk(x, self.log)
+        self.states[i - 1] = u
         self.log_scale += (accepted - TARGET_ACCEPT) * i ** -0.6
         if i % ADAPT_EVERY == 0 or i == self.burn_in:
             window = self.states[max(0, i - max(2 * ADAPT_EVERY, i // 4)):i]
@@ -477,18 +466,16 @@ class _Walk:
 def initial_state(model: GPModel, priors: Priors, data: Dataset | None,
                   sample_noise: bool = False) -> SamplerState:
     """The state at the template parameterisation's prior-mean start."""
-    return _score(prior_mean(type(model.params), priors, sample_noise),
-                  model, priors, data)
+    spec = type(model.params)
+    x = prior_mean(spec, priors, sample_noise)
+    return _score(_to_walk(x, spec), model, priors, data, x)
 
 
-def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset,
-                positive: np.ndarray, jacobian: np.ndarray):
-    """The climb's objective at walk coordinates ``u``, and its gradient: the
-    log posterior of the state there plus ``sum(u[jacobian])``, the log
-    Jacobian of the rows whose prior is on x but whose walk is on log x, so
-    that it is the posterior's log density in the coordinates the chain
-    walks. ``(-inf, None)`` where the state is outside the prior, its metric
-    or Gram fails, or a result is not finite.
+def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset):
+    """The climb's objective at walk coordinates ``u``, and its gradient:
+    the chain's target there (:attr:`SamplerState.log_target`).
+    ``(-inf, None)`` where the state is outside the prior, its metric or
+    Gram fails, or a result is not finite.
 
     The likelihood's gradient goes through the metric: each coordinate's
     dM/du is a central difference of ``metric()``, and the noise's is
@@ -498,6 +485,7 @@ def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset,
     """
     spec = type(model.params)
     n = len(spec.names)
+    positive, jacobian = _masks(spec, u.size > n)
     # each metric coordinate's step up and down, and every coordinate's at once
     steps = _FD_STEP * np.vstack([np.eye(u.size)[:n], np.ones(u.size)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -648,31 +636,27 @@ def _climb(start: SamplerState, model: GPModel, priors: Priors,
     draws no random numbers.
     """
     spec = type(model.params)
-    positive, jacobian = _walk_masks(layout(spec,
-                                            start.x.size > len(spec.names)))
     step = -(-data.n // CLIMB_POINTS)
     subset = Dataset(data.X[::step], data.y[::step])
 
     def minus(u, on=subset):
-        value, grad = _log_target(u, model, priors, on, positive, jacobian)
+        value, grad = _log_target(u, model, priors, on)
         return (math.inf, None) if grad is None else (-value, -grad)
 
     def score(x):  # the objective's value alone
-        value = (_score(x, model, priors, subset).log_post
-                 + float(np.sum(np.log(x[jacobian]))))
+        value = _score(_to_walk(x, spec), model, priors, subset, x).log_target
         return value if value == value else _NEG_INF  # nan fails too
 
     noise = start.x[len(spec.names):]
     candidates = [start.x] + [
         np.concatenate([spec.isotropic(ell).to_vector(), noise])
         for ell in CLIMB_GRID]
-    scores = [score(x) for x in candidates]
-    best = candidates[scores.index(max(scores))]
-    u, evals = _bfgs(minus, _to_walk(best, positive), CLIMB_EVALS)
+    u, evals = _bfgs(minus, _to_walk(max(candidates, key=score), spec),
+                     CLIMB_EVALS)
     u, gradients, H = _fit_mode(functools.partial(minus, on=data), u)
-    end = _score(_from_walk(u, positive), model, priors, data)
+    end = _score(u, model, priors, data)
     chosen = end if end.log_post > start.log_post else start
-    laplace = None if H is None else _Laplace(u, H, positive, jacobian)
+    laplace = None if H is None else _Laplace(u, H)
     record = {"prior_mean_log_post": start.log_post,
               "log_post": chosen.log_post, "bfgs_evaluations": evals,
               "full_data_gradients": gradients,
@@ -687,50 +671,38 @@ class _Laplace:
     ``LAPLACE_NU`` degrees of freedom, where ``H`` is the inverse Hessian of
     the posterior at its ``mode``. A proposal u' from the state u is
     accepted with probability min(1, pi(u') q(u) / (pi(u) q(u'))), with pi
-    the posterior's density in walk coordinates (:func:`_log_target`'s
-    value) and q the proposal's. Its heavy tails bound that ratio where the
+    the chain's target (:attr:`SamplerState.log_target`) and q the
+    proposal's density. Its heavy tails bound that ratio where the
     posterior's tails are a little wider than the fit's; where the fit
     misses part of the posterior, a draw there can hold the chain for many
     iterations.
     """
 
-    def __init__(self, mode: np.ndarray, H: np.ndarray, positive: np.ndarray,
-                 jacobian: np.ndarray):
-        self.mode, self.positive, self.jacobian = mode, positive, jacobian
+    def __init__(self, mode: np.ndarray, H: np.ndarray):
+        self.mode = mode
         self.factor = LAPLACE_SCALE * np.linalg.cholesky(H)
-        self._current = (None, 0.0)  # a state and its weight
+        # (u, log q) of the state last proposed from, and of the proposal
+        self._current = self._proposed = (None, 0.0)
 
-    def _weight(self, log_post: float, u: np.ndarray, z: np.ndarray) -> float:
-        """log pi(u) - log q(u), up to a constant, at u = mode + factor z."""
-        return (log_post + float(np.sum(u[self.jacobian]))
-                + 0.5 * (LAPLACE_NU + u.size)
-                * math.log1p(float(z @ z) / LAPLACE_NU))
+    @staticmethod
+    def _log_q(z: np.ndarray) -> float:
+        """log q, up to a constant, at ``mode + factor z``."""
+        return -0.5 * (LAPLACE_NU + z.size) * math.log1p(z @ z / LAPLACE_NU)
 
-    def step(self, state: SamplerState, data: Dataset, model: GPModel,
-             priors: Priors, rng: np.random.Generator
-             ) -> tuple[SamplerState, bool]:
-        """One independence Metropolis-Hastings update from ``state``.
-        Proposals whose prior is -inf or whose Gram cannot be factorized are
-        rejected without drawing a uniform, as in :func:`mh_step`."""
-        current, weight = self._current
-        if state is not current:
-            u = _to_walk(state.x, self.positive)
-            weight = self._weight(state.log_post, u, np.linalg.solve(
-                self.factor, u - self.mode))
-            self._current = (state, weight)
+    def propose(self, state: SamplerState, rng: np.random.Generator
+                ) -> tuple[np.ndarray, float]:
+        """A fresh draw u', and its log proposal ratio log q(u) - log q(u')
+        from ``state``'s u. The log q of a state the kernel proposed is
+        kept; only another one, such as the chain's start, is solved for."""
+        if state.u is self._proposed[0]:
+            self._current = self._proposed
+        elif state.u is not self._current[0]:
+            self._current = (state.u, self._log_q(np.linalg.solve(
+                self.factor, state.u - self.mode)))
         z = rng.standard_normal(self.mode.size) * math.sqrt(
             LAPLACE_NU / rng.chisquare(LAPLACE_NU))
-        u = self.mode + self.factor @ z
-        # a draw far out in the tails lands outside the prior's support
-        with np.errstate(over="ignore"):
-            new = _score(_from_walk(u, self.positive), model, priors, data)
-        if new.log_post == _NEG_INF:
-            return state, False
-        new_weight = self._weight(new.log_post, u, z)
-        if rng.uniform() < math.exp(min(new_weight - weight, 0.0)):
-            self._current = (new, new_weight)
-            return new, True
-        return state, False
+        self._proposed = (self.mode + self.factor @ z, self._log_q(z))
+        return self._proposed[0], self._current[1] - self._proposed[1]
 
 
 def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
@@ -774,15 +746,13 @@ def run_chain(config: ChainConfig, data: Dataset | None, model: GPModel,
 
     kept = 0
     for i in range(1, config.n_iters + 1):
+        state, moved = mh_step(state, *(laplace or walk).propose(state, rng),
+                               data, model, priors, rng)
         if laplace is None:
-            state, moved = mh_step(state, data, model, priors, scales, rng,
-                                   walk.factor)
-            walk.learn(i - trial, moved, state.x)
-        else:
-            state, moved = laplace.step(state, data, model, priors, rng)
-            # a fit far from the posterior accepts little, and sticks
-            if i == trial and accepted + moved < LAPLACE_MIN_ACCEPT * trial:
-                laplace, start["kernel"] = None, "walk"
+            walk.learn(i - trial, moved, state.u)
+        # a fit far from the posterior accepts little, and sticks
+        elif i == trial and accepted + moved < LAPLACE_MIN_ACCEPT * trial:
+            laplace, start["kernel"] = None, "walk"
         accepted += moved
         if i > config.burn_in and (i - config.burn_in) % config.thin == 0:
             iters[kept] = i

@@ -11,8 +11,10 @@ inside a stationary kernel:
 
 Each class is the one spec of its parameterisation: parameter names and
 flat-vector layout, a ``table`` that declares one :class:`Row` per field (its
-random-walk step and move, and its Gaussian prior), metric builder and dict
-I/O. :mod:`rotgp.mcmc` walks, scores and starts the fields by those rows.
+random-walk step, its move, which says whether the sampler walks it as x or
+log x and whether its prior is on x or log x, and its Gaussian prior),
+metric builder and dict I/O. :mod:`rotgp.mcmc` walks, scores and starts the
+fields by those rows.
 ``SPECS`` maps a model name to its class, so the sampler, summaries, config
 and CLI never branch on it.
 
@@ -61,9 +63,12 @@ def _inverse_squares(lengthscales: np.ndarray, name: str) -> np.ndarray:
 
 
 class Row(NamedTuple):
-    """A field's walk ``step`` (a ``ProposalScales`` field) and ``move``
-    (a key of ``mcmc._MOVES``), and its Gaussian prior's ``sd`` and ``mean``
-    (``Priors`` fields; no mean is zero) on the coordinate the move gives."""
+    """A field's walk ``step`` (a ``ProposalScales`` field) and ``move``,
+    and its Gaussian prior's ``sd`` and ``mean`` (``Priors`` fields; no mean
+    is zero) on the coordinate the move gives. The move is a key of
+    ``mcmc._MOVES``: ``add`` walks x with the prior on x, ``scale`` walks
+    log x with the prior on log x, and ``jacobian`` walks log x with the
+    prior on x > 0, so the sampler's target carries the log Jacobian."""
 
     step: str
     move: str

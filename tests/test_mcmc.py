@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, multivariate_t
 
 from rotgp import gp, mcmc
 from rotgp.data import SyntheticConfig, generate_synthetic
@@ -11,9 +11,10 @@ from rotgp.gp import Dataset, GPModel
 from rotgp.kernels import GramFactorizationError, Matern, SquaredExponential
 from rotgp.mcmc import (ACCEPT_RATE_WINDOW, CHAIN_MINIMA, Chain,
                         ChainConfig, ChainInitError, Priors, ProposalScales,
-                        _score, effective_sample_size, initial_state,
-                        load_chain_csv, log_prior, mh_step, must_be_positive,
-                        prior_mean, row_params, run_chain, summarize)
+                        SamplerState, _score, effective_sample_size,
+                        initial_state, load_chain_csv, log_prior, mh_step,
+                        must_be_positive, prior_mean, row_params, run_chain,
+                        summarize)
 from rotgp.metric import SPECS, Ard, CholeskySpd, Rotational
 from rotgp.so3 import exp_so3, geodesic_angle
 
@@ -35,6 +36,11 @@ def d1_desk_train():
                         0.05 ** 2)
     return generate_synthetic(SyntheticConfig(
         n_train=300, n_test=150, generator=generator, seed=1)).train
+
+
+def score_row(x, model, priors, data):
+    """The sampler's state at the chain row ``x``."""
+    return _score(mcmc._to_walk(x, type(model.params)), model, priors, data, x)
 
 
 def tiny_data(rng=None, n=12):
@@ -139,19 +145,19 @@ class TestLogPrior:
         spec, model, data = SPECS[kind], template(kind), tiny_data()
         x = np.append(prior_mean(spec, _PRIORS), noise)
         assert log_prior(x, spec, _PRIORS) == -np.inf
-        state = _score(x, model, _PRIORS, data)
+        state = score_row(x, model, _PRIORS, data)
         assert state.log_prior == state.log_lik == -np.inf
         # a valid noise does reach the likelihood
         x[-1] = 0.01
         with pytest.raises(AssertionError, match="outside the prior"):
-            _score(x, model, _PRIORS, data)
+            score_row(x, model, _PRIORS, data)
 
     @pytest.mark.parametrize("kind", ["ard", "rotational"])
     def test_overflowing_lengthscale_gets_no_likelihood(self, kind):
         # 1e-160 ** -2 overflows: the metric is invalid, not inf
         x = prior_mean(SPECS[kind], Priors())
         x[0] = 1e-160
-        state = _score(x, template(kind), Priors(), tiny_data())
+        state = score_row(x, template(kind), Priors(), tiny_data())
         assert state.log_prior > -np.inf and state.log_lik == -np.inf
 
 
@@ -159,7 +165,7 @@ class TestStart:
     @each_spec_and_noise
     def test_each_part_at_its_prior_mean(self, kind, sample_noise):
         # the identity rotation, the unit Cholesky diagonal, and exactly
-        # math.exp(log_noise_mean)
+        # exp(log_noise_mean)
         x = prior_mean(SPECS[kind], _PRIORS, sample_noise)
         expected = {"ard": [0.3, 0.6, 0.9],
                     "rotational": [0.3, 0.6, 0.9, 0.0, 0.0, 0.0],
@@ -171,72 +177,98 @@ class TestStart:
 
 
 class _StubRng:
-    """Deterministic stand-in: fixed normals, then fixed uniforms."""
+    """Deterministic stand-in: fixed normals, then fixed uniforms; a
+    chi-square draw is its degrees of freedom, so a t draw is its normals."""
 
     def __init__(self, normals, uniforms):
         self._normals = list(normals)
         self._uniforms = list(uniforms)
 
-    def normal(self, loc, scale, size=None):
-        if size is None:
-            return loc + scale * self._normals.pop(0)
+    def normal(self, loc, scale, size):
         return loc + scale * np.array([self._normals.pop(0)
                                        for _ in range(size)])
+
+    def standard_normal(self, size):
+        return self.normal(0.0, 1.0, size)
+
+    def chisquare(self, df):
+        return float(df)
 
     def uniform(self):
         return self._uniforms.pop(0)
 
 
+# Each kernel on a rotational state: the walk at its starting steps, with an
+# axis-angle step of 0.08, and an independence kernel whose wide fit
+# (H = 4 I) is centred on the prior's mode.
+_KERNELS = {
+    "walk": lambda: mcmc._Walk(mcmc.layout(Rotational, False),
+                               ProposalScales(axis_angle=0.08), 0),
+    "laplace": lambda: mcmc._Laplace(
+        np.append(np.log(np.full(3, 0.5)), np.zeros(3)), 4.0 * np.eye(6)),
+}
+
+
 class TestMhStep:
+    """Each test runs for a walk proposal and an independence proposal."""
+
     def test_uphill_proposal_always_accepted(self):
-        # Prior-only target, current rotation away from the prior mode, and a
-        # proposal engineered to land exactly on the mode with the
-        # length-scale block unmoved (zero Jacobian): strictly uphill, so it
-        # must be accepted even for the most unlucky uniform draw.
-        from rotgp.mcmc import SamplerState
-        priors = Priors()
-        scales = ProposalScales(axis_angle=0.08)
-        model = template("rotational")
-        start = Rotational((0.5, 0.5, 0.5), (0.5, 0.0, 0.0))
-        state = SamplerState(start.to_vector(), 0.0,
-                             log_prior(start.to_vector(), Rotational, priors))
-        rng = _StubRng(normals=[0.0, 0.0, 0.0, -0.5 / 0.08, 0.0, 0.0],
-                       uniforms=[1.0 - 1e-12])
-        new_state, accepted = mh_step(state, None, model, priors, scales, rng)
-        assert accepted
-        np.testing.assert_allclose(new_state.x[3:6], 0.0, atol=1e-15)
-        assert new_state.log_prior > state.log_prior
+        # Prior-only target, current rotation away from the prior mode, and
+        # a proposal that lands exactly on the mode with the length-scales
+        # unmoved (zero Jacobian): the walk steps there, and the
+        # independence kernel draws its fit's centre, whose log q ratio
+        # (-0.043) costs less than the prior gains (0.125). Strictly uphill,
+        # so it must be accepted even for the most unlucky uniform draw.
+        priors, model = Priors(), template("rotational")
+        x = Rotational((0.5, 0.5, 0.5), (0.5, 0.0, 0.0)).to_vector()
+        state = score_row(x, model, priors, None)
+        for kernel, normals in [
+                ("walk", [0.0, 0.0, 0.0, -0.5 / 0.08, 0.0, 0.0]),
+                ("laplace", [0.0] * 6)]:
+            rng = _StubRng(normals=normals, uniforms=[1.0 - 1e-12])
+            u, log_q_ratio = _KERNELS[kernel]().propose(state, rng)
+            new_state, accepted = mh_step(state, u, log_q_ratio, None, model,
+                                          priors, rng)
+            assert accepted and new_state.u is u, kernel
+            np.testing.assert_allclose(new_state.x[3:6], 0.0, atol=1e-15)
+            assert new_state.u[:3].tolist() == state.u[:3].tolist()
+            assert new_state.log_target - state.log_target + log_q_ratio > 0
 
     def test_invalid_proposal_rejected_without_uniform(self):
-        priors = Priors()
-        scales = ProposalScales(axis_angle=1e6)
-        model = template("rotational")
+        # a length-scale step of 1e6 sds overflows exp(u) to inf: -inf prior
+        priors, model = Priors(), template("rotational")
         state = initial_state(model, priors, None)
-        # exp(1e6 * 800) overflows the axis-angle coordinate to inf -> -inf prior
-        rng = _StubRng(normals=[0.0, 0.0, 0.0, np.inf, 0.0, 0.0], uniforms=[])
-        new_state, accepted = mh_step(state, None, model, priors, scales, rng)
-        assert not accepted
-        assert new_state is state
+        for kernel in _KERNELS:
+            rng = _StubRng(normals=[1e6, 0.0, 0.0, 0.0, 0.0, 0.0],
+                           uniforms=[])
+            u, log_q_ratio = _KERNELS[kernel]().propose(state, rng)
+            new_state, accepted = mh_step(state, u, log_q_ratio, None, model,
+                                          priors, rng)
+            assert not accepted and new_state is state, kernel
 
     def test_accepted_state_carries_recomputable_posterior(self):
-        priors = Priors()
-        scales = ProposalScales()
-        data = tiny_data()
-        model = template("ard")
-        state = initial_state(model, priors, data)
-        rng = np.random.Generator(np.random.PCG64(5))
-        accepted_any = False
-        for _ in range(50):
-            state, accepted = mh_step(state, data, model, priors, scales, rng)
-            accepted_any = accepted_any or accepted
-        assert accepted_any
         from rotgp.gp import log_marginal_likelihood
-        params, noise_var = row_params(Ard, state.x, model.noise_var)
-        model_now = GPModel(model.profile, params, noise_var)
-        assert state.log_lik == pytest.approx(
-            log_marginal_likelihood(model_now, data), abs=1e-10)
-        assert state.log_prior == pytest.approx(
-            log_prior(params.to_vector(), Ard, priors), abs=1e-12)
+        priors, data, model = Priors(), tiny_data(), template("ard")
+        start = initial_state(model, priors, data)
+        for proposer in [mcmc._Walk(mcmc.layout(Ard, False), ProposalScales(),
+                                    0),
+                         mcmc._Laplace(start.u, 0.3 ** 2 * np.eye(3))]:
+            state, accepted_any = start, False
+            rng = np.random.Generator(np.random.PCG64(5))
+            for _ in range(50):
+                state, accepted = mh_step(state, *proposer.propose(state, rng),
+                                          data, model, priors, rng)
+                accepted_any = accepted_any or accepted
+            assert accepted_any
+            params, noise_var = row_params(Ard, state.x, model.noise_var)
+            model_now = GPModel(model.profile, params, noise_var)
+            assert state.log_lik == pytest.approx(
+                log_marginal_likelihood(model_now, data), abs=1e-10)
+            assert state.log_prior == pytest.approx(
+                log_prior(params.to_vector(), Ard, priors), abs=1e-12)
+            assert state.x.tolist() == np.exp(state.u).tolist()
+            assert state.log_jacobian == pytest.approx(
+                float(np.sum(np.log(state.x))), abs=1e-12)
 
 
 class TestSettings:
@@ -284,20 +316,31 @@ class TestRunChain:
         assert chain.iters[-1] <= 403
         assert np.all(np.diff(chain.iters) == 7)
 
-    def test_stored_log_posts_recompute(self):
+    def test_stored_log_posts_recompute(self, request, d1_desk_train):
+        # the stored log_post is the log posterior at the stored row: the
+        # likelihood plus log_prior, without the log Jacobian sum(log l) of
+        # the walk coordinates that both kernels' target carries; for the
+        # independence kernel, with the noise fixed and sampled, then for
+        # the walk, forced
         from rotgp.gp import log_marginal_likelihood
-        data = tiny_data()
-        cfg = ChainConfig(n_iters=300, burn_in=100, seed=3, thin=10)
-        model = template("rotational")
-        chain = run_chain(cfg, data, model, Priors(), ProposalScales())
-        assert np.all(np.isfinite(chain.log_posts))
-        for i in range(chain.n_samples):
-            params, noise = row_params(Rotational, chain.states[i],
-                                       chain.fixed_noise_var)
-            lp = (log_marginal_likelihood(
-                GPModel(model.profile, params, noise), data)
-                + log_prior(params.to_vector(), Rotational, Priors()))
-            assert chain.log_posts[i] == pytest.approx(lp, abs=1e-10)
+        data, model = d1_desk_train, template("rotational")
+        for kernel, sample_noise in [("laplace", False), ("laplace", True),
+                                     ("walk", False)]:
+            if kernel == "walk":
+                request.getfixturevalue("walk_kernel")  # to the test's end
+            cfg = ChainConfig(n_iters=200, burn_in=100, seed=1, thin=10,
+                              sample_noise=sample_noise)
+            chain = run_chain(cfg, data, model, Priors(), ProposalScales())
+            assert chain.kernel == kernel
+            assert np.all(np.isfinite(chain.log_posts))
+            for row, log_post in zip(chain.states, chain.log_posts):
+                params, noise = row_params(Rotational, row,
+                                           chain.fixed_noise_var)
+                lp = (log_marginal_likelihood(
+                    GPModel(model.profile, params, noise), data)
+                    + log_prior(row, Rotational, Priors()))
+                assert log_post == pytest.approx(lp, abs=1e-10)
+                assert abs(float(np.sum(np.log(row[:3])))) > 1e-3
 
     def test_init_failure_is_fatal(self):
         bad_priors = Priors(lengthscale_mean=(-0.5, 0.5, 0.5))
@@ -314,8 +357,8 @@ class TestRunChain:
         assert chain.fixed_noise_var is None
 
     def test_huge_noise_step_is_rejected_by_the_prior(self):
-        # exp(log x + eps) with |eps| ~ 1000 overflows to inf or underflows
-        # to 0; both are outside the prior's support, and the walk must not
+        # exp(u + eps) with |eps| ~ 1000 overflows to inf or underflows to
+        # 0; both are outside the prior's support, and the walk must not
         # warn (the suite turns RuntimeWarning into an error).
         cfg = ChainConfig(n_iters=60, burn_in=10, thin=1, seed=4,
                           sample_noise=True)
@@ -394,12 +437,12 @@ class TestPriorSampling:
         assert ks < 0.05
 
     def test_spd_and_log_noise_marginals_match_gaussian_priors(self):
-        # The moves no other test covers: the spd diagonal walks on the log
-        # scale with its prior on log d (no Jacobian), the off-diagonal
-        # additively, and the sampled noise as exp(log x + eps) with its
-        # prior on log x. Each marginal, on the scale its prior is declared
-        # on, must be that Gaussian; a Jacobian on the diagonal would shift
-        # the mean of log d by 1.5^2, about eighty standard errors.
+        # The moves no other test covers: the spd diagonal and the sampled
+        # noise walk on the log scale with their priors on log x (the
+        # ``scale`` move, no Jacobian), the off-diagonal additively. Each
+        # marginal, on the scale its prior is declared on, must be that
+        # Gaussian; a Jacobian on the diagonal would shift the mean of log d
+        # by 1.5^2, about eighty standard errors.
         priors = Priors()
         cfg = ChainConfig(n_iters=40_000, burn_in=2_000, seed=14, thin=1,
                           sample_noise=True)
@@ -504,17 +547,19 @@ class TestAdaptation:
 
     def test_minimal_chain_does_not_adapt(self, monkeypatch):
         # The benchmark's set-up chain: two iterations, one of burn-in. Its
-        # second step must use the starting diagonal, as mh_step does by
-        # default, and no covariance is estimated.
+        # second step must use the starting diagonal, as a walk that adapts
+        # nothing does, and no covariance is estimated.
         monkeypatch.setattr(mcmc._Walk, "_estimate", None)
         cfg = ChainConfig(n_iters=2, burn_in=1, seed=8, thin=1)
         data, model = tiny_data(), template("spd")
         chain = run_chain(cfg, data, model, Priors(), ProposalScales())
         rng = np.random.Generator(np.random.PCG64(8))
         state = initial_state(model, Priors(), data)
+        walk = mcmc._Walk(mcmc.layout(CholeskySpd, False), ProposalScales(),
+                          0)
         for _ in range(2):
-            state, _ = mh_step(state, data, model, Priors(), ProposalScales(),
-                               rng)
+            state, _ = mh_step(state, *walk.propose(state, rng), data, model,
+                               Priors(), rng)
         assert chain.states.tolist() == [state.x.tolist()]
 
     @pytest.mark.parametrize("sample_noise", [False, True],
@@ -577,15 +622,12 @@ def climb_state(kind, sample_noise, rng):
     return np.append(x, [0.01] * sample_noise)
 
 
-def climb_target(kind, sample_noise, profile, data):
+def climb_target(kind, profile, data):
     """The climb's objective for ``kind`` as a function of walk
     coordinates, and the map from a state to its walk coordinates."""
-    spec = SPECS[kind]
-    positive, jacobian = mcmc._walk_masks(mcmc.layout(spec, sample_noise))
     model = GPModel(profile, template(kind).params, 0.0025)
-    return (lambda u: mcmc._log_target(u, model, _PRIORS, data, positive,
-                                       jacobian),
-            lambda x: mcmc._to_walk(x, positive))
+    return (lambda u: mcmc._log_target(u, model, _PRIORS, data),
+            lambda x: mcmc._to_walk(x, SPECS[kind]))
 
 
 def central_differences(target, u, h=1e-5):
@@ -602,8 +644,7 @@ class TestClimb:
         rng = np.random.default_rng(23)
         data = tiny_data(rng, n=20)
         x = climb_state(kind, sample_noise, rng)
-        target, to_walk = climb_target(kind, sample_noise, _PROFILES[profile],
-                                       data)
+        target, to_walk = climb_target(kind, _PROFILES[profile], data)
         u = to_walk(x)
         value, grad = target(u)
         # the log posterior, plus log x of the rows that walk on log x with
@@ -611,7 +652,8 @@ class TestClimb:
         model = GPModel(_PROFILES[profile], template(kind).params, 0.0025)
         log_jacobian = float(np.sum(np.log(x[:3]))) if kind != "spd" else 0.0
         assert value == pytest.approx(
-            _score(x, model, _PRIORS, data).log_post + log_jacobian, rel=1e-12)
+            score_row(x, model, _PRIORS, data).log_post + log_jacobian,
+            rel=1e-12)
         fd = central_differences(target, u)
         np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                    atol=1e-6 * np.linalg.norm(fd))
@@ -624,7 +666,7 @@ class TestClimb:
         base = tiny_data(rng, n=10)
         data = Dataset(np.vstack([base.X, base.X[:3]]),
                        np.append(base.y, rng.standard_normal(3)))
-        target, to_walk = climb_target(kind, True, Matern(0.5), data)
+        target, to_walk = climb_target(kind, Matern(0.5), data)
         u = to_walk(climb_state(kind, True, rng))
         _, grad = target(u)
         assert np.all(np.isfinite(grad))
@@ -640,8 +682,8 @@ class TestClimb:
         start = initial_state(model, Priors(), data, sample_noise)
         state, record, _ = mcmc._climb(start, model, Priors(), data)
         assert state.log_post >= start.log_post
-        assert state.log_post == _score(state.x, model, Priors(),
-                                        data).log_post
+        assert state.log_post == score_row(state.x, model, Priors(),
+                                           data).log_post
         assert record["prior_mean_log_post"] == start.log_post
         assert record["log_post"] == state.log_post
         assert 1 <= record["bfgs_evaluations"] <= mcmc.CLIMB_EVALS
@@ -704,16 +746,15 @@ class TestLaplace:
         from the prior's centre and wider than it."""
         priors = Priors(lengthscale_mean=(0.5, 0.5, 0.5),
                         lengthscale_sd=(0.1, 0.1, 0.1), axis_angle_sd=0.5)
-        positive, jacobian = mcmc._walk_masks(mcmc.layout(Rotational, False))
         mode = np.array([math.log(0.6)] * 3 + [0.2, -0.1, 0.15])
-        kernel = mcmc._Laplace(mode, np.diag([0.25 ** 2] * 3 + [0.6 ** 2] * 3),
-                               positive, jacobian)
+        kernel = mcmc._Laplace(mode, np.diag([0.25 ** 2] * 3 + [0.6 ** 2] * 3))
         model = template("rotational")
         state = initial_state(model, priors, None)
         rng = np.random.Generator(np.random.PCG64(seed))
         draws, accepted = np.empty((n_steps, 6)), 0
         for i in range(n_steps):
-            state, moved = kernel.step(state, None, model, priors, rng)
+            state, moved = mh_step(state, *kernel.propose(state, rng), None,
+                                   model, priors, rng)
             draws[i], accepted = state.x, accepted + moved
         return draws, accepted / n_steps
 
@@ -738,6 +779,25 @@ class TestLaplace:
             0.0, 0.5, (200_000, 3)), axis=1)
         assert ks_2samp(angles, norms).statistic < 0.05
 
+    def test_log_q_ratio_matches_the_multivariate_t(self):
+        # the proposal density against scipy's, from a state the kernel did
+        # not propose (solved for), then from its own proposals, accepted on
+        # every other step (their log q kept from the draw)
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((6, 6))
+        H, mode = A @ A.T / 6.0 + 0.1 * np.eye(6), rng.standard_normal(6)
+        kernel = mcmc._Laplace(mode, H)
+        q = multivariate_t(loc=mode, shape=1.2 ** 2 * H, df=6)
+        u = mode + rng.standard_normal(6)
+        gen = np.random.Generator(np.random.PCG64(3))
+        for i in range(6):
+            u_new, log_q_ratio = kernel.propose(
+                SamplerState(u, u, 0.0, 0.0, 0.0), gen)
+            assert log_q_ratio == pytest.approx(q.logpdf(u) - q.logpdf(u_new),
+                                                abs=1e-10)
+            if i % 2:
+                u = u_new
+
     def test_same_seed_gives_the_same_chain(self, tmp_path):
         assert np.array_equal(self.prior_draws(5, 500)[0],
                               self.prior_draws(5, 500)[0])
@@ -761,10 +821,10 @@ class TestLaplace:
             w, V = np.linalg.eigh(H)
             return (V * np.append(-w[:1], w[1:])) @ V.T
 
-        steps = []
+        steps, propose = [], mcmc._Walk.propose
         monkeypatch.setattr(mcmc, "_bfgs_update", indefinite)
-        monkeypatch.setattr(mcmc, "mh_step", lambda *args: steps.append(1)
-                            or mh_step(*args))
+        monkeypatch.setattr(mcmc._Walk, "propose",
+                            lambda *args: steps.append(1) or propose(*args))
         cfg = ChainConfig(n_iters=100, burn_in=50, seed=7, thin=1)
         chain = run_chain(cfg, tiny_data(), template("spd"), Priors(),
                           ProposalScales())
@@ -779,10 +839,10 @@ class TestLaplace:
                                                     kernel):
         # the first half of burn-in runs the independence kernel; a chain
         # that accepted less than LAPLACE_MIN_ACCEPT of it walks from there
-        steps = []
+        steps, propose = [], mcmc._Walk.propose
         monkeypatch.setattr(mcmc, "LAPLACE_MIN_ACCEPT", least)
-        monkeypatch.setattr(mcmc, "mh_step", lambda *args: steps.append(1)
-                            or mh_step(*args))
+        monkeypatch.setattr(mcmc._Walk, "propose",
+                            lambda *args: steps.append(1) or propose(*args))
         cfg = ChainConfig(n_iters=200, burn_in=100, seed=7, thin=1)
         chain = run_chain(cfg, tiny_data(), template("spd"), Priors(),
                           ProposalScales())
