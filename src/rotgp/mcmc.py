@@ -76,11 +76,12 @@ _FD_STEP = 1e-5
 # The climb then fits the posterior at its mode on all the data (see
 # _fit_mode): a forward-difference Hessian of the gradient with steps of
 # HESSIAN_STEP starts BFGS, which has converged once its Newton decrement
-# g^T H g is below NEWTON_TOL, within MODE_EVALS evaluations after its start.
-# The independence kernel (see _Laplace) then proposes from that fit: a
-# multivariate t with LAPLACE_NU degrees of freedom, LAPLACE_SCALE times as
-# wide. A chain whose kernel accepts less than LAPLACE_MIN_ACCEPT of the
-# first half of burn-in walks from there on (see run_chain).
+# g^T H g is below NEWTON_TOL, within MODE_EVALS evaluations after its start;
+# the same difference at its end gives the fit's Hessian. The independence
+# kernel (see _Laplace) then proposes from that fit: a multivariate t with
+# LAPLACE_NU degrees of freedom, LAPLACE_SCALE times as wide. A chain whose
+# kernel accepts less than LAPLACE_MIN_ACCEPT of the first half of burn-in
+# walks from there on (see run_chain).
 HESSIAN_STEP = 1e-4
 NEWTON_TOL = 0.1
 MODE_EVALS = 15
@@ -215,18 +216,25 @@ class Chain:
         return {"joint": self.accepted / self.n_iters}
 
     def rate_flags(self) -> list[str]:
-        """The rates outside ``ACCEPT_RATE_WINDOW``. An independence
-        proposal close to the posterior accepts most of its draws, so the
-        laplace kernel is flagged only below the trial's least rate,
-        ``LAPLACE_MIN_ACCEPT``: having passed its trial, it stuck later."""
+        """The rates outside ``ACCEPT_RATE_WINDOW``, and a chain whose stored
+        rows all hold one state. An independence proposal close to the
+        posterior accepts most of its draws, so the laplace kernel is
+        flagged only below the trial's least rate, ``LAPLACE_MIN_ACCEPT``:
+        having passed its trial, it stuck later. It can also stick after
+        the trial while its overall rate stays above that, which only the
+        stored rows show."""
         lo, hi = ACCEPT_RATE_WINDOW
         if self.kernel == "laplace":
             lo, hi = LAPLACE_MIN_ACCEPT, math.inf
-        return [
+        flags = [
             f"acceptance rate {r:.3f} of the {self.kernel} kernel outside "
             f"({lo}, {hi})"
             for r in self.acceptance_rates().values() if not lo < r < hi
         ]
+        if self.n_samples >= 2 and np.all(self.states == self.states[0]):
+            flags.append(f"all {self.n_samples} stored rows of the "
+                         f"{self.kernel} kernel hold one state")
+        return flags
 
     def to_csv(self, path) -> None:
         """Write `iter,log_post,<params>` rows."""
@@ -580,24 +588,36 @@ def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
     return u, evals
 
 
+def _fd_hessian(fun, u: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """The forward-difference Hessian at ``u`` of ``fun``'s gradient, which
+    is ``grad`` there: d more gradients, with steps of ``HESSIAN_STEP``,
+    symmetrised. None if one of them fails."""
+    rows = [fun(u + HESSIAN_STEP * e)[1] for e in np.eye(u.size)]
+    if any(g is None for g in rows):
+        return None
+    hess = (np.array(rows) - grad) / HESSIAN_STEP
+    return 0.5 * (hess + hess.T)
+
+
 def _fit_mode(fun, u: np.ndarray):
-    """Newton-started BFGS on the full data from ``u``. Its first inverse
-    Hessian inverts a forward-difference Hessian of ``fun``'s gradient
-    there, symmetrised and with its eigenvalues made positive by their
-    absolute values; it has converged once the Newton decrement g^T H g is
-    below ``NEWTON_TOL``, and gives up after ``MODE_EVALS`` more
-    evaluations. Returns the last point accepted, the number of
-    evaluations, and the inverse Hessian if BFGS converged and it is
-    positive definite, else None."""
+    """Newton-started BFGS on the full data from ``u``, and the Laplace fit
+    at its end. BFGS's first inverse Hessian inverts the forward-difference
+    Hessian (:func:`_fd_hessian`) at ``u``, with its eigenvalues made
+    positive by their absolute values. It has converged once the Newton
+    decrement g^T H g is below ``NEWTON_TOL`` with its H positive definite,
+    and gives up after ``MODE_EVALS`` more evaluations. The fit is the
+    inverse of the forward-difference Hessian at the end point, taken afresh
+    if BFGS stepped. Returns the last point accepted, the number of
+    evaluations, and the fit if BFGS converged and it is positive definite,
+    else None."""
     value, grad = fun(u)
     if grad is None:
         return u, 1, None
-    rows = [fun(u + HESSIAN_STEP * e)[1] for e in np.eye(u.size)]
+    start, hess = u, _fd_hessian(fun, u, grad)
     evals = 1 + u.size
-    if any(g is None for g in rows):
+    if hess is None:
         return u, evals, None
-    hess = (np.array(rows) - grad) / HESSIAN_STEP
-    w, V = np.linalg.eigh(0.5 * (hess + hess.T))
+    w, V = np.linalg.eigh(hess)
     w = np.abs(w)
     if not np.all(w > 0.0):
         return u, evals, None
@@ -617,7 +637,15 @@ def _fit_mode(fun, u: np.ndarray):
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return u, evals, None
-    return u, evals, H
+    if u is not start:  # the start's Hessian carries another point's curvature
+        hess = _fd_hessian(fun, u, grad)
+        evals += u.size
+        if hess is None:
+            return u, evals, None
+    w, V = np.linalg.eigh(hess)
+    if not np.all(w > 0.0):
+        return u, evals, None
+    return u, evals, (V / w) @ V.T
 
 
 def _climb(start: SamplerState, model: GPModel, priors: Priors,

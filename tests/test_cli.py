@@ -669,7 +669,8 @@ class TestExperiment:
             self, tmp_path):
         # d1 at n = 300 with 500-iteration chains: each fit's mode search
         # converges, so every chain runs the independence kernel, and its
-        # acceptance raises no flag
+        # acceptance raises no flag. The fit took the Hessian at both ends,
+        # d + 1 gradients at the start and d at the end.
         out = tmp_path / "exp"
         cfg = write_json(tmp_path / "x.json", {
             "n_train": 300, "n_test": 150,
@@ -680,6 +681,8 @@ class TestExperiment:
             summary = json.loads((out / model / "summary.json").read_text())
             assert summary["start"]["kernel"] == "laplace"
             assert summary["flags"] == []
+            d = len(summary["params"])
+            assert summary["start"]["full_data_gradients"] >= 1 + 2 * d
 
     def test_tiny_plane_holdout_scenario(self, tmp_path):
         out = tmp_path / "exph"

@@ -738,6 +738,77 @@ class TestClimb:
                 == (tmp_path / "chain1.csv").read_bytes())
 
 
+class TestFitMode:
+    """``_fit_mode`` on f(u) = sum_i k_i cosh(v_i), v = A (u - m): smooth,
+    convex, least at m, with Hessian A^T diag(k cosh v) A, whose curvature
+    at OFFSET is 1.3-1.6 times that at m along each v_i."""
+
+    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, -0.4], [0.0, 0.5, 1.0]])
+    K = np.array([2.0, 5.0, 1.0])
+    MODE = np.array([0.1, -0.2, 0.3])
+    OFFSET = MODE + np.linalg.solve(A, [0.8, -0.9, 1.0])
+
+    @classmethod
+    def objective(cls, u):
+        v = cls.A @ (u - cls.MODE)
+        return float(cls.K @ np.cosh(v)), cls.A.T @ (cls.K * np.sinh(v))
+
+    @classmethod
+    def inverse_hessian(cls, u):
+        v = cls.A @ (u - cls.MODE)
+        return np.linalg.inv(cls.A.T @ np.diag(cls.K * np.cosh(v)) @ cls.A)
+
+    @pytest.mark.parametrize("start", ["offset", "mode"])
+    def test_fit_is_the_inverse_hessian_at_the_end_point(self, start):
+        # from the offset BFGS steps, and the end takes d more gradients;
+        # from the mode it converges at once, and the start's rows serve
+        u0 = self.OFFSET if start == "offset" else self.MODE
+        u, evals, H = mcmc._fit_mode(self.objective, u0)
+        expected = self.inverse_hessian(u)
+        # forward differences of step 1e-4 are good to about 1e-4
+        np.testing.assert_allclose(H, expected, rtol=1e-3,
+                                   atol=1e-3 * np.abs(expected).max())
+        if start == "mode":
+            assert evals == 1 + u.size and u is u0
+        else:
+            assert evals > 1 + 2 * u.size
+            assert np.abs(self.inverse_hessian(u0) - expected).max() > (
+                0.2 * np.abs(expected).max())
+
+    def test_end_hessian_not_positive_definite_walks(self, monkeypatch):
+        # the end's forward difference, negated: no fit, and a chain walks
+        fd_hessian, hessians = mcmc._fd_hessian, []
+
+        def negated_at_the_end(*args):
+            hessians.append(fd_hessian(*args))
+            return hessians[-1] if len(hessians) == 1 else -hessians[-1]
+
+        monkeypatch.setattr(mcmc, "_fd_hessian", negated_at_the_end)
+        _, evals, H = mcmc._fit_mode(self.objective, self.OFFSET)
+        assert H is None and len(hessians) == 2 and evals > 1 + 2 * 3
+        hessians.clear()
+        steps, propose = [], mcmc._Walk.propose
+        monkeypatch.setattr(mcmc._Walk, "propose",
+                            lambda *args: steps.append(1) or propose(*args))
+        cfg = ChainConfig(n_iters=100, burn_in=50, seed=7, thin=1)
+        chain = run_chain(cfg, tiny_data(), template("spd"), Priors(),
+                          ProposalScales())
+        assert len(hessians) == 2
+        assert chain.start["full_data_gradients"] > 1 + 2 * 6
+        assert chain.kernel == "walk" and len(steps) == 100
+
+    def test_failed_end_gradient_gives_no_fit(self):
+        _, evals, _ = mcmc._fit_mode(self.objective, self.OFFSET)
+        calls = []
+
+        def last_fails(u):
+            calls.append(1)
+            return ((math.inf, None) if len(calls) == evals
+                    else self.objective(u))
+
+        assert mcmc._fit_mode(last_fails, self.OFFSET)[1:] == (evals, None)
+
+
 class TestLaplace:
     @staticmethod
     def prior_draws(seed, n_steps=20_000):
@@ -877,6 +948,24 @@ class TestLaplace:
         assert list(chain.acceptance_rates()) == ["joint"]
         assert bool(flags) == flagged
         assert all(f"of the {kernel} kernel" in flag for flag in flags)
+
+    @pytest.mark.parametrize("kernel", ["laplace", "walk"])
+    @pytest.mark.parametrize("n_samples, moved, flagged", [
+        (5, False, True), (5, True, False), (1, False, False)])
+    def test_stuck_chain_is_flagged(self, kernel, n_samples, moved, flagged):
+        # an acceptance inside both kernels' windows: only the stored rows,
+        # all one state, show that the chain stuck
+        states = np.tile([0.3, 0.05, 0.6], (n_samples, 1))
+        states[-1, 0] += moved
+        chain = Chain(kind="ard", param_names=list(Ard.names),
+                      iters=np.arange(1, n_samples + 1), states=states,
+                      log_posts=np.zeros(n_samples), accepted=30,
+                      n_iters=100, fixed_noise_var=0.0025,
+                      start={"kernel": kernel})
+        flags = chain.rate_flags()
+        assert bool(flags) == flagged
+        assert all(f"stored rows of the {kernel} kernel hold one state"
+                   in flag for flag in flags)
 
 
 class TestSummarize:
