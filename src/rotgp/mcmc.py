@@ -15,12 +15,13 @@ Each kernel proposes a u' with its log proposal ratio, and one
 density in u (:attr:`SamplerState.log_target`). The chain stores x and the
 log posterior at x, without the Jacobian.
 
-A chain with data whose burn-in adapts first climbs from the prior-mean
-start to a posterior mode, by BFGS on the exact gradient, and starts there
-(:func:`_climb`), so its stored rows are not spent on the climb. Where the
-climb's fit to the posterior at that mode converges, each iteration draws
-its proposal afresh from that fit: an independence Metropolis-Hastings
-kernel (:class:`_Laplace`), kept if it accepts enough of the first half of
+A chain with data whose burn-in adapts first climbs to a posterior mode
+and starts there (:func:`_climb`), so its stored rows are not spent on the
+climb: one BFGS loop (:func:`_bfgs`) runs on a subset of the data to
+``CLIMB_TOL``, then on all of it to ``NEWTON_TOL`` (:func:`_fit_mode`).
+Where the fit to the posterior at that mode converges, each iteration draws
+its proposal afresh from it: an independence Metropolis-Hastings kernel
+(:class:`_Laplace`), kept if it accepts enough of the first half of
 burn-in. Every other chain walks: each iteration moves the whole of u by
 one Gaussian step, burn-in learns that step's covariance (:class:`_Walk`),
 and the stored chain is plain Metropolis-Hastings with the walk frozen at
@@ -59,10 +60,11 @@ TARGET_ACCEPT = 0.234
 ADAPT_EVERY = 25
 
 # The climb to a start (see _climb) searches on every ceil(n / CLIMB_POINTS)-th
-# training point. It starts BFGS from the best of the prior-mean start and the
-# isotropic metrics ell^-2 I over CLIMB_GRID, and stops after CLIMB_EVALS
-# evaluations, or once a step scaled by the curvature gains less than
-# CLIMB_TOL of log posterior.
+# training point. It starts BFGS (see _bfgs) from the best of the prior-mean
+# start and the isotropic metrics ell^-2 I over CLIMB_GRID, and stops after
+# CLIMB_EVALS evaluations, or once the Newton decrement g^T H g is below
+# CLIMB_TOL: tighter than the mode fit's NEWTON_TOL, since searches stopped
+# there left some fits too far from the mode to converge.
 CLIMB_POINTS = 150
 CLIMB_GRID = np.geomspace(0.02, 5.0, 16)
 CLIMB_EVALS = 20
@@ -526,24 +528,6 @@ def _log_target(u: np.ndarray, model: GPModel, priors: Priors, data: Dataset):
     return value, grad
 
 
-def _line_search(fun, u: np.ndarray, value: float, grad: np.ndarray,
-                 p: np.ndarray, evals: int, max_evals: int):
-    """Armijo backtracking along ``p`` from ``u``, halving from the full
-    step (Nocedal & Wright 2006, alg. 3.1). A value of +inf, a failed
-    evaluation, backtracks. Returns the step, the value and gradient at its
-    end and the evaluations counted so far; the step is None once they
-    reach ``max_evals`` first."""
-    t = 1.0
-    while True:
-        new_value, new_grad = fun(u + t * p)
-        evals += 1
-        if new_value <= value + 1e-4 * t * float(grad @ p):
-            return t * p, new_value, new_grad, evals
-        if evals == max_evals:
-            return None, value, grad, evals
-        t *= 0.5
-
-
 def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray
                  ) -> np.ndarray | None:
     """The BFGS inverse Hessian after the step ``s`` changed the gradient by
@@ -559,33 +543,43 @@ def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray
     return V @ H @ V.T + np.outer(s, s) / sy
 
 
-def _bfgs(fun, u: np.ndarray, max_evals: int) -> tuple[np.ndarray, int]:
-    """Minimise ``fun(u) -> (value, grad)`` from ``u`` by BFGS with Armijo
-    backtracking (Nocedal & Wright 2006, ch. 6). A value of +inf, a failed
-    evaluation, backtracks. Stops after ``max_evals`` evaluations, or once a
-    step scaled by the curvature gains less than ``CLIMB_TOL``. Returns the
-    last point accepted and the number of evaluations."""
-    value, grad = fun(u)
-    eye, H, evals = np.eye(u.size), None, 1
-    while value < math.inf and evals < max_evals:
+def _bfgs(fun, u: np.ndarray, value: float, grad: np.ndarray | None,
+          H: np.ndarray | None, max_evals: int, tol: float):
+    """Minimise ``fun(u) -> (value, grad)`` from ``u``, where it gave
+    ``value`` and ``grad``, by BFGS from the inverse Hessian ``H`` or None,
+    with Armijo backtracking (Nocedal & Wright 2006, ch. 6, alg. 3.1). A
+    step is at most ``_MAX_STEP`` long, or ``_FIRST_STEP`` where no H scales
+    it: from None, or down the gradient where H gives no descent. A failed
+    evaluation, +inf, backtracks, or at ``u`` takes no step. BFGS has
+    converged once g^T H g is below ``tol``, H being the one given or one
+    updated after a step it scaled: an unscaled step may have crossed a
+    valley. Returns the last point accepted, its gradient, the evaluations
+    made (at most ``max_evals``), and H if BFGS converged, else None."""
+    eye, evals, scaled = np.eye(u.size), 0, H is not None
+    while grad is not None:
+        if scaled and float(grad @ H @ grad) < tol:
+            return u, grad, evals, H
+        if evals == max_evals:
+            break
         p = -(eye if H is None else H) @ grad
         if not grad @ p < 0.0:  # not a descent direction: restart
             H, p = None, -grad
         scaled = H is not None
         p *= min(1.0, (_MAX_STEP if scaled else _FIRST_STEP)
                  / float(np.linalg.norm(p)))
-        s, new_value, new_grad, evals = _line_search(fun, u, value, grad, p,
-                                                     evals, max_evals)
-        if s is None:
-            return u, evals
+        t = 1.0
+        while True:
+            new_value, new_grad = fun(u + t * p)
+            evals += 1
+            if new_value <= value + 1e-4 * t * float(grad @ p):
+                break
+            if evals == max_evals:
+                return u, grad, evals, None
+            t *= 0.5
+        s = t * p
         H = _bfgs_update(H, s, new_grad - grad)
-        gain = value - new_value
         u, value, grad = u + s, new_value, new_grad
-        # the small gain of a step not yet scaled by the curvature shows no
-        # convergence: it may have crossed a valley
-        if scaled and gain < CLIMB_TOL:
-            break
-    return u, evals
+    return u, grad, evals, None
 
 
 def _fd_hessian(fun, u: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
@@ -600,16 +594,15 @@ def _fd_hessian(fun, u: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
 
 
 def _fit_mode(fun, u: np.ndarray):
-    """Newton-started BFGS on the full data from ``u``, and the Laplace fit
-    at its end. BFGS's first inverse Hessian inverts the forward-difference
-    Hessian (:func:`_fd_hessian`) at ``u``, with its eigenvalues made
-    positive by their absolute values. It has converged once the Newton
-    decrement g^T H g is below ``NEWTON_TOL`` with its H positive definite,
-    and gives up after ``MODE_EVALS`` more evaluations. The fit is the
-    inverse of the forward-difference Hessian at the end point, taken afresh
-    if BFGS stepped. Returns the last point accepted, the number of
-    evaluations, and the fit if BFGS converged and it is positive definite,
-    else None."""
+    """Newton-started BFGS (:func:`_bfgs`) on the full data from ``u``, and
+    the Laplace fit at its end. BFGS starts from the inverse of the
+    forward-difference Hessian (:func:`_fd_hessian`) at ``u``, with its
+    eigenvalues made positive by their absolute values. It must converge to
+    ``NEWTON_TOL`` within ``MODE_EVALS`` more evaluations, with its H
+    positive definite. The fit is the inverse of the forward-difference
+    Hessian at the end point, taken afresh if BFGS stepped. Returns the
+    last point accepted, the number of evaluations, and the fit if BFGS
+    converged and it is positive definite, else None."""
     value, grad = fun(u)
     if grad is None:
         return u, 1, None
@@ -621,18 +614,11 @@ def _fit_mode(fun, u: np.ndarray):
     w = np.abs(w)
     if not np.all(w > 0.0):
         return u, evals, None
-    H, max_evals = (V / w) @ V.T, evals + MODE_EVALS
-    while float(grad @ H @ grad) >= NEWTON_TOL:
-        if evals == max_evals:
-            return u, evals, None
-        p = -H @ grad
-        p *= min(1.0, _MAX_STEP / float(np.linalg.norm(p)))
-        s, value, new_grad, evals = _line_search(fun, u, value, grad, p,
-                                                 evals, max_evals)
-        if s is None:
-            return u, evals, None
-        H = _bfgs_update(H, s, new_grad - grad)
-        u, grad = u + s, new_grad
+    u, grad, steps, H = _bfgs(fun, u, value, grad, (V / w) @ V.T,
+                              MODE_EVALS, NEWTON_TOL)
+    evals += steps
+    if H is None:
+        return u, evals, None
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
@@ -679,14 +665,15 @@ def _climb(start: SamplerState, model: GPModel, priors: Priors,
     candidates = [start.x] + [
         np.concatenate([spec.isotropic(ell).to_vector(), noise])
         for ell in CLIMB_GRID]
-    u, evals = _bfgs(minus, _to_walk(max(candidates, key=score), spec),
-                     CLIMB_EVALS)
+    u = _to_walk(max(candidates, key=score), spec)
+    u, _, evals, _ = _bfgs(minus, u, *minus(u), None, CLIMB_EVALS - 1,
+                           CLIMB_TOL)
     u, gradients, H = _fit_mode(functools.partial(minus, on=data), u)
     end = _score(u, model, priors, data)
     chosen = end if end.log_post > start.log_post else start
     laplace = None if H is None else _Laplace(u, H)
     record = {"prior_mean_log_post": start.log_post,
-              "log_post": chosen.log_post, "bfgs_evaluations": evals,
+              "log_post": chosen.log_post, "bfgs_evaluations": 1 + evals,
               "full_data_gradients": gradients,
               "kernel": "walk" if laplace is None else "laplace"}
     return chosen, record, laplace

@@ -739,9 +739,10 @@ class TestClimb:
 
 
 class TestFitMode:
-    """``_fit_mode`` on f(u) = sum_i k_i cosh(v_i), v = A (u - m): smooth,
-    convex, least at m, with Hessian A^T diag(k cosh v) A, whose curvature
-    at OFFSET is 1.3-1.6 times that at m along each v_i."""
+    """``_fit_mode``, and ``_bfgs`` as the subset search runs it, on
+    f(u) = sum_i k_i cosh(v_i), v = A (u - m): smooth, convex, least at m,
+    with Hessian A^T diag(k cosh v) A, whose curvature at OFFSET is 1.3-1.6
+    times that at m along each v_i."""
 
     A = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, -0.4], [0.0, 0.5, 1.0]])
     K = np.array([2.0, 5.0, 1.0])
@@ -807,6 +808,82 @@ class TestFitMode:
                     else self.objective(u))
 
         assert mcmc._fit_mode(last_fails, self.OFFSET)[1:] == (evals, None)
+
+    def test_saddle_takes_no_step_and_gives_no_fit(self):
+        # at a stationary point of negative curvature the absolute-value
+        # Hessian passes the convergence test at once, and the point's own
+        # Hessian, indefinite, gives no fit: the chain walks (the
+        # absolute-value fit there mixed worse in replays)
+        def saddle(u):
+            calls.append(u)
+            value, grad = self.objective(u)
+            z = u[0] - self.MODE[0]
+            return value - 10.0 * z * z, grad - 20.0 * z * np.eye(3)[0]
+
+        calls = []
+        u, evals, H = mcmc._fit_mode(saddle, self.MODE)
+        assert u is self.MODE and H is None
+        assert evals == len(calls) == 1 + 3
+
+    def run_subset_search(self, fun, u0, max_evals=mcmc.CLIMB_EVALS - 1):
+        """``_bfgs`` as the climb's subset search runs it, from ``u0``."""
+        return mcmc._bfgs(fun, u0, *self.objective(u0), None, max_evals,
+                          mcmc.CLIMB_TOL)
+
+    def test_subset_search_converges_only_after_a_scaled_step(self,
+                                                              monkeypatch):
+        # from no H the first step is at most _FIRST_STEP long, and BFGS
+        # reports convergence only after a step that its H scaled; near the
+        # mode the decrement through the first step's H is already below
+        # CLIMB_TOL, yet it steps again
+        update, steps = mcmc._bfgs_update, []
+
+        def recorded(H, s, y):
+            steps.append((s, update(H, s, y)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(mcmc, "_bfgs_update", recorded)
+        near = self.MODE + 1e-3
+        for u0 in (self.OFFSET, near):
+            steps.clear()
+            _, grad, evals, H = self.run_subset_search(self.objective, u0)
+            assert np.linalg.norm(steps[0][0]) <= mcmc._FIRST_STEP + 1e-12
+            assert len(steps) >= 2 and H is steps[-1][1]
+            assert grad @ H @ grad < mcmc.CLIMB_TOL
+            assert evals < mcmc.CLIMB_EVALS - 1
+        first = self.objective(near + steps[0][0])[1]
+        assert first @ steps[0][1] @ first < mcmc.CLIMB_TOL
+
+    def test_subset_search_restarts_along_the_gradient(self, monkeypatch):
+        # an update that negates H gives an ascent direction: BFGS restarts
+        # with a step of _FIRST_STEP down the gradient
+        update, points = mcmc._bfgs_update, []
+        monkeypatch.setattr(mcmc, "_bfgs_update", lambda *args: -update(*args))
+
+        def fun(u):
+            points.append(u)
+            return self.objective(u)
+
+        _, _, evals, H = self.run_subset_search(fun, self.OFFSET, 2)
+        assert evals == 2 and H is None
+        for start, end in zip([self.OFFSET, points[0]], points):
+            grad = self.objective(start)[1]
+            np.testing.assert_allclose(
+                end, start - mcmc._FIRST_STEP * grad / np.linalg.norm(grad))
+
+    def test_subset_search_backtracks_from_a_failed_evaluation(self):
+        points = []
+
+        def first_fails(u):
+            points.append(u)
+            return ((math.inf, None) if len(points) == 1
+                    else self.objective(u))
+
+        u, _, evals, H = self.run_subset_search(first_fails, self.OFFSET, 2)
+        assert evals == 2 and H is None
+        np.testing.assert_allclose(points[1] - self.OFFSET,
+                                   0.5 * (points[0] - self.OFFSET))
+        np.testing.assert_array_equal(u, points[1])
 
 
 class TestLaplace:
